@@ -19,9 +19,11 @@ components swapped; the verifier and the runner accept either
 orientation and track the swap.
 
 Cycle analysis bounds the output weight of arbitrarily long runs: the
-maximal ratio 2*out/(in0+in1) over directed cycles, found by parametric
-binary search with exact scaled-integer arithmetic, is the certified
-growth constant of the machine.
+maximal ratio 2*out/(in0+in1) over directed cycles is the certified
+growth constant of the machine.  It is found exactly by Dinkelbach
+steps over one Bellman-Ford relaxation in scaled integers, which also
+yields a witness cycle attaining it and node potentials proving that no
+cycle exceeds it.
 """
 
 from __future__ import annotations
@@ -494,9 +496,14 @@ def _ratio_edges(graph: TransducerGraph, weights: Weight,
     return edges
 
 
-def _positive_cycle(n: int, edges: list, num: int, den: int) -> list[int] | None:
-    """Indices of edges forming a cycle of value sum > 0 under
-    value(e) = 2*out*den - num*(in0+in1), or None."""
+def _longest_walks(n: int, edges: list, num: int,
+                   den: int) -> tuple[list[int] | None, list[int]]:
+    """Longest walks under value(e) = 2*out*den - num*(in0+in1).
+
+    Returns the edge indices of a cycle of positive value, or None
+    together with the converged walk values dist, which then satisfy
+    value(e) + dist[u] - dist[v] <= 0 on every edge u -> v.
+    """
     dist = [0] * n
     pred: list[int | None] = [None] * n
     last_improved = -1
@@ -509,7 +516,7 @@ def _positive_cycle(n: int, edges: list, num: int, den: int) -> list[int] | None
                 pred[v] = ei
                 last_improved = v
         if last_improved == -1:
-            return None
+            return None, dist
     # walk back n steps to land inside a positive cycle
     v = last_improved
     for _ in range(n):
@@ -523,83 +530,66 @@ def _positive_cycle(n: int, edges: list, num: int, den: int) -> list[int] | None
         if v == start:
             break
     cycle.reverse()
-    return cycle
+    return cycle, dist
+
+
+def _cycle_ratio(graph: TransducerGraph, weights: Weight,
+                 exclude_special: bool) -> tuple[Fraction, CycleReport, list[int]]:
+    """The exact maximal cycle ratio, its witness and its potentials.
+
+    Dinkelbach iteration: starting from r = 0, while some cycle has
+    positive value under 2*out - r*(in0+in1), r becomes that cycle's own
+    ratio, which is strictly larger.  When no positive cycle is left, r is
+    the maximum, the last cycle attains it, and the walk values dist of
+    the final relaxation (scaled by r's denominator) are the potentials
+    certifying that no cycle exceeds it.
+    """
+    n = len(graph.states)
+    edges = _ratio_edges(graph, weights, exclude_special)
+    kept = [t for t in graph.transitions
+            if not (exclude_special and t.special)]
+    eta = Fraction(0)
+    report = None
+    while True:
+        cycle, dist = _longest_walks(n, edges, eta.numerator, eta.denominator)
+        if cycle is None:
+            break
+        i0, i1, out = (sum(edges[ei][k] for ei in cycle) for k in (2, 3, 4))
+        if i0 + i1 == 0:
+            raise TransduceError("unbounded: cycle with output but no input")
+        eta = Fraction(2 * out, i0 + i1)
+        report = CycleReport([kept[ei] for ei in cycle], i0 / SCALE,
+                             i1 / SCALE, out / SCALE, float(eta))
+    if report is None:
+        raise TransduceError("no cycle with positive consumed weight")
+    return eta, report, dist
 
 
 def max_cycle_ratio(graph: TransducerGraph, weights: Weight | None = None,
-                    exclude_special: bool = True,
-                    tolerance: float = 1e-6) -> tuple[float, CycleReport]:
+                    exclude_special: bool = True) -> tuple[float, CycleReport]:
     """Largest 2*out/(in0+in1) over directed cycles, with a witness.
 
-    Parametric binary search: a candidate ratio r is beaten exactly when
-    the graph has a positive cycle under edge values 2*out - r*(in0+in1),
-    evaluated in exact integers for rational r.  The witness cycle's own
-    ratio is returned after confirming no cycle beats it, so the reported
-    value is exact rather than a bracket midpoint.
+    The value is exact: it is the witness cycle's own ratio, and no cycle
+    beats it (see ``_cycle_ratio``).  Raises TransduceError when a cycle
+    emits output without consuming input, or when no cycle emits output.
     """
-    weights = weights or graph.weights
-    n = len(graph.states)
-    all_edges = _ratio_edges(graph, weights, exclude_special)
-    kept = [t for t in graph.transitions
-            if not (exclude_special and t.special)]
-
-    zero_in = [e for e in all_edges if e[2] + e[3] == 0 and e[4] > 0]
-    # a cycle of zero consumed weight with positive output is unbounded
-    if zero_in and _positive_cycle(n, zero_in, 0, 1) is not None:
-        raise TransduceError("unbounded: cycle with output but no input")
-
-    hi = Fraction(2 * sum(e[4] for e in all_edges) + 1,
-                  min((e[2] + e[3] for e in all_edges if e[2] + e[3] > 0),
-                      default=1))
-    lo = Fraction(0)
-    witness = None
-    while hi - lo > Fraction(tolerance).limit_denominator(10 ** 9):
-        mid = (lo + hi) / 2
-        found = _positive_cycle(n, all_edges, mid.numerator, mid.denominator)
-        if found is None:
-            hi = mid
-        else:
-            lo = mid
-            witness = found
-    if witness is None:
-        raise TransduceError("no cycle with positive consumed weight")
-    i0 = sum(all_edges[ei][2] for ei in witness)
-    i1 = sum(all_edges[ei][3] for ei in witness)
-    out = sum(all_edges[ei][4] for ei in witness)
-    exact = Fraction(2 * out, i0 + i1)
-    if _positive_cycle(n, all_edges, exact.numerator, exact.denominator):
-        raise RuntimeError("cycle search did not converge; lower tolerance")
-    report = CycleReport([kept[ei] for ei in witness], i0 / SCALE, i1 / SCALE,
-                         out / SCALE, float(exact))
-    return float(exact), report
+    eta, report, _ = _cycle_ratio(graph, weights or graph.weights,
+                                  exclude_special)
+    return float(eta), report
 
 
-def path_excess_constant(graph: TransducerGraph, weights: Weight | None = None,
-                         eta: Fraction | None = None) -> float:
+def path_excess_constant(graph: TransducerGraph,
+                         weights: Weight | None = None) -> float:
     """Largest accumulated 2*out - eta*(in0+in1) over walks, halved.
 
-    At the exact maximal ratio no cycle has positive value, so the longest
-    walk stabilizes within |states| relaxation rounds; the result bounds
-    how far any run's output can exceed eta/2 times its consumed weight.
+    At the exact maximal ratio eta no cycle has positive value, so the
+    longest walk values are the potentials of the final relaxation; the
+    result bounds how far any run's output can exceed eta/2 times its
+    consumed weight.
     """
-    weights = weights or graph.weights
-    if eta is None:
-        value, _ = max_cycle_ratio(graph, weights)
-        eta = Fraction(value).limit_denominator(10 ** 9)
-    edges = _ratio_edges(graph, weights, exclude_special=True)
-    n = len(graph.states)
-    num, den = eta.numerator, eta.denominator
-    dist = [0] * n
-    for _ in range(n + 1):
-        changed = False
-        for (u, v, i0, i1, o) in edges:
-            val = 2 * o * den - num * (i0 + i1)
-            if dist[u] + val > dist[v]:
-                dist[v] = dist[u] + val
-                changed = True
-        if not changed:
-            break
-    return max(dist) / (2 * den * SCALE)
+    eta, _, dist = _cycle_ratio(graph, weights or graph.weights,
+                                exclude_special=True)
+    return max(dist) / (2 * eta.denominator * SCALE)
 
 
 # --- transduction -----------------------------------------------------------
@@ -766,8 +756,9 @@ def preimage_constant(graph: TransducerGraph, weights: Weight | None = None) -> 
     the closing residue's baseline preimage.
     """
     weights = weights or graph.weights
-    eta, _ = max_cycle_ratio(graph, weights)
-    excess = path_excess_constant(graph, weights)
+    exact, _, dist = _cycle_ratio(graph, weights, exclude_special=True)
+    eta = float(exact)
+    excess = max(dist) / (2 * exact.denominator * SCALE)
     prefix = word_weight("aba", weights) / SCALE
     rewrite = max(word_weight(CHUNKED_LETTER[x], weights) - weights[x]
                   for x in "bcd") / SCALE
@@ -775,7 +766,8 @@ def preimage_constant(graph: TransducerGraph, weights: Weight | None = None) -> 
     overhead = eta * (rewrite + padding + word_weight("ca", weights) / SCALE)
     max_buffer = max((len(comp) for st in graph.states.values()
                       if st.kind == "input" for comp in st.buffer), default=0)
-    residue_len = 4 * (max_buffer + 8) + 12
+    # psi_preimage_basic's length bound for residues of max_buffer + 8
+    residue_len = 6 * (max_buffer + 8) + 4
     closing = residue_len * max(weights.values()) / SCALE
     return prefix + excess + overhead + closing
 

@@ -12,8 +12,6 @@ max_cycle_ratio.  Special end-of-input transitions are attached last.
 
 from __future__ import annotations
 
-import os
-import sys
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -64,6 +62,14 @@ class BuildParams:
                 "candidate_order must be 'quality', 'margin' or 'contract'")
 
 
+def _score(in0: int, in1: int, out0: int, out1: int, v_weight: int,
+           delta: float) -> float:
+    """Quality from scaled weights: the buffer (in0, in1) shrinks to
+    (out0, out1) by emitting a word of weight v_weight."""
+    return (in0 + in1 - out0 - out1) / v_weight \
+        + delta * (abs(in0 - in1) - abs(out0 - out1)) / SCALE
+
+
 def quality(u: Buffer, v: str, weights: Weight, delta: float,
             forms: MinimalForms | None = None) -> float:
     """Score of emitting v at buffer u: weight shed per output cost, plus
@@ -78,12 +84,9 @@ def quality(u: Buffer, v: str, weights: Weight, delta: float,
     # input, so v cancels from the left inverted
     s0 = forms.minimal_form(rev(v0) + u[0])
     s1 = forms.minimal_form(rev(v1) + u[1])
-    t_in = word_weight(u[0], weights) + word_weight(u[1], weights)
-    t_out = word_weight(s0, weights) + word_weight(s1, weights)
-    bal_in = abs(word_weight(u[0], weights) - word_weight(u[1], weights))
-    bal_out = abs(word_weight(s0, weights) - word_weight(s1, weights))
-    return (t_in - t_out) / word_weight(v, weights) \
-        + delta * (bal_in - bal_out) / SCALE
+    return _score(word_weight(u[0], weights), word_weight(u[1], weights),
+                  word_weight(s0, weights), word_weight(s1, weights),
+                  word_weight(v, weights), delta)
 
 
 @dataclass
@@ -120,7 +123,6 @@ def build(params: BuildParams, log: list[str] | None = None) -> TransducerGraph:
     candidates = _candidates(forms, params.max_len, params.candidate_weight)
     if log is not None:
         log.append(f"candidate outputs: {len(candidates)}")
-    debug = bool(os.environ.get("GRIGORCHUK_BUILD_DEBUG"))
     threshold = 1.0 / params.eta_prime
     delta = params.delta
 
@@ -154,12 +156,11 @@ def build(params: BuildParams, log: list[str] | None = None) -> TransducerGraph:
             s1 = forms.lookup_element(mul(cand.right, e1), cap)
             if s1 is None:
                 continue
-            t_out = word_weight(s0, weights) + word_weight(s1, weights)
-            b_out = abs(word_weight(s0, weights) - word_weight(s1, weights))
-            q = (total - t_out) / cand.weight + delta * (bal - b_out) / SCALE
+            o0, o1 = word_weight(s0, weights), word_weight(s1, weights)
+            q = _score(w0, w1, o0, o1, cand.weight, delta)
             if q < threshold - 1e-12:
                 continue
-            margin = (total - t_out) - 2 * cand.weight / params.eta_prime
+            margin = (total - o0 - o1) - 2 * cand.weight / params.eta_prime
             if order == "margin":
                 score = margin
             elif order == "contract":
@@ -192,9 +193,6 @@ def build(params: BuildParams, log: list[str] | None = None) -> TransducerGraph:
             continue
         if len(graph.states) >= params.budget:
             raise RuntimeError("budget exceeded")
-        if debug and len(graph.states) % 100 == 0:
-            print(f"[build] {len(graph.states)} states, frontier "
-                  f"{len(queue)}, at {buf}", file=sys.stderr)
         choice = None if buf == ("", "") else best_output(buf)
         if choice is not None:
             cand, succ, q = choice

@@ -288,9 +288,6 @@ def _parser() -> argparse.ArgumentParser:
         description=("Exact toolkit for the first Grigorchuk group: words, "
                      "minimal forms, growth tables, the section-preimage "
                      "transducer, and its cycle-ratio analysis."))
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker count accepted for interface compatibility; "
-                        "all current engines are single-threaded")
     sub = p.add_subparsers(dest="command", required=True)
 
     q = sub.add_parser("act", help="apply a word to a binary string")
@@ -401,9 +398,6 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    if args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return 1
     try:
         return args.fn(args)
     except OSError as exc:

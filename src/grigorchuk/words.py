@@ -199,8 +199,7 @@ def pair_in_section_image(w0: str, w1: str) -> bool:
 # The letter substitution s below is a homomorphism into the parity-even
 # subgroup whose section pair is (t(g), g) for the companion substitution t.
 # Applying it to the second component of a target pair, after cancelling the
-# first component through t, yields a preimage under the section map with at
-# most 4*max(lengths) + 12 letters.
+# first component through t, yields a preimage under the section map.
 
 _SIGMA = {"a": "aca", "b": "d", "c": "b", "d": "c"}
 _TAU = {"a": "d", "b": "", "c": "a", "d": "a"}
@@ -220,9 +219,12 @@ def psi_preimage_basic(w0: str, w1: str) -> str:
     """A parity-even word whose section pair is (w0, w1), as elements.
 
     Uses psi(sigma(g)) = (tau(g), g) twice: first to realize the second
-    component, then to cancel the leftover in the first.  The result has
-    at most 4*max(|w0|, |w1|) + 12 letters.  Raises ValueError when the
-    pair is not a section pair.
+    component, then to cancel the leftover in the first.  For freely
+    reduced w0 the result has at most 4*|w0| + 2*|w1| + 4 letters: a
+    freely reduced x has at most (|x|+1)/2 letters a, so |sigma(x)| <=
+    2*|x| + 1, and the word below is two letters a, sigma(w0) and sigma of
+    a word of length at most |w0| + |w1|.  Raises ValueError when the pair
+    is not a section pair.
     """
     if not pair_in_section_image(w0, w1):
         raise ValueError(f"pair ({w0!r}, {w1!r}) is not a section pair")

@@ -3,6 +3,7 @@ and word transduction against the bundled machine."""
 
 import math
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -20,7 +21,7 @@ from grigorchuk import (
     verify_graph,
     words_equal,
 )
-from grigorchuk.automaton import path_excess_constant
+from grigorchuk.automaton import _cycle_ratio, path_excess_constant
 from grigorchuk.minforms import SCALE, UNIT_WEIGHTS, word_weight
 from grigorchuk.words import in_H
 
@@ -41,6 +42,39 @@ edge (-,-) in (ba,da) out ca -> (-,-)
 edge (-,-) in (ba,ca) out ca -> (-,-)
 edge (-,-) in (ba,ba) out ca -> (-,-)
 """
+
+# Nine chunk loops at the empty buffer that consume input and emit nothing.
+SILENT_LOOPS = "".join(f"edge (-,-) in ({x}a,{y}a) -> (-,-)\n"
+                       for x in "dcb" for y in "dcb")
+HEADER = "weights a=1 b=1 c=1 d=1\nstate (-,-) input initial final\n"
+
+# Two output states emitting into each other: output without input.
+OUTPUT_ONLY = HEADER + SILENT_LOOPS + """\
+state (d,-) output
+state (c,-) output
+edge (d,-) out aca -> (c,-)
+edge (c,-) out aca -> (d,-)
+"""
+
+
+def replay_certificate(graph):
+    """Check the engine's exact eta against its witness and potentials."""
+    eta, report, dist = _cycle_ratio(graph, graph.weights, exclude_special=True)
+    index = {b: i for i, b in enumerate(graph.states)}
+    w = graph.weights
+
+    def value(t):
+        return (2 * t.emitted(w) * eta.denominator
+                - eta.numerator * sum(t.consumed(w)))
+
+    for t in graph.transitions:
+        if not t.special:
+            assert value(t) + dist[index[t.src]] - dist[index[t.dst]] <= 0
+    cycle = report.cycle
+    assert all(a.dst == b.src for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+    assert sum(value(t) for t in cycle) == 0
+    assert report.ratio == float(eta)
+    return eta
 
 
 def random_pair(rng, max_len=14):
@@ -167,9 +201,25 @@ class TestCycleRatio:
 
     def test_constants_finite(self, fixture_graph):
         assert preimage_constant(fixture_graph) == pytest.approx(
-            372.734150, abs=1e-2)
+            419.354150, abs=1e-2)
         assert path_excess_constant(fixture_graph) == pytest.approx(
             30.25, abs=1e-6)
+
+    def test_output_only_cycle_unbounded(self):
+        with pytest.raises(TransduceError, match="unbounded"):
+            max_cycle_ratio(parse_graph(OUTPUT_ONLY))
+
+    def test_no_output_cycle(self):
+        with pytest.raises(TransduceError,
+                           match="no cycle with positive consumed weight"):
+            max_cycle_ratio(parse_graph(HEADER + SILENT_LOOPS))
+
+    def test_certificate_toy(self):
+        assert replay_certificate(parse_graph(TOY)) == 3
+
+    def test_certificate_fixture(self, fixture_graph):
+        # 6651/1571 = 4.233609166...
+        assert replay_certificate(fixture_graph) == Fraction(6651, 1571)
 
 
 class TestTransduce:

@@ -215,13 +215,3 @@ class TestBuildOptimize:
         assert err.startswith("eta ")
         written = parse_weights(out_path.read_text())
         assert written["a"] == 10000
-
-
-class TestGlobalFlags:
-    def test_threads_accepted(self, capsys):
-        assert run(capsys, "--threads", "2", "reduce", "bc") == (0, "d\n", "")
-
-    def test_threads_must_be_positive(self, capsys):
-        rc, _, err = run(capsys, "--threads", "0", "reduce", "bc")
-        assert rc == 1
-        assert "--threads" in err

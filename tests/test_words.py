@@ -154,3 +154,19 @@ class TestPreimage:
             v0, v1 = psi(free_reduce(w))
             assert words_equal(v0, h0) and words_equal(v1, h1)
             assert len(w) <= 4 * max(len(h0), len(h1)) + 12
+
+    def test_length_bound(self):
+        # 4*|w0| + 2*|w1| + 4 holds for freely reduced w0, while the
+        # bound 4*max(|w0|, |w1|) + 12 fails on this pair: 52 > 48
+        w0, w1 = "cacacacab", "badadadad"
+        w = psi_preimage_basic(w0, w1)
+        assert len(w) == 52 > 4 * max(len(w0), len(w1)) + 12
+        assert len(w) <= 4 * len(w0) + 2 * len(w1) + 4
+        for h in all_words(5):
+            if not in_H(h):
+                continue
+            h0, h1 = psi(h)
+            if not pair_in_section_image(h0, h1):
+                continue
+            w = psi_preimage_basic(h0, h1)
+            assert len(w) <= 4 * len(h0) + 2 * len(h1) + 4
