@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .automaton import Transition, TransducerGraph
 from .elements import element_of, mul
@@ -134,29 +135,44 @@ def build(params: BuildParams, log: list[str] | None = None) -> TransducerGraph:
                 t.dst = new
 
     order = params.candidate_order
+    # scaled weight of each settled form, keyed like forms.table
+    settled_weight: dict[int, int] = {}
+
+    def settle(radius: int) -> None:
+        """Extend the forms to radius and record the new forms' weights."""
+        forms.extend(radius)
+        table = forms.table
+        if len(table) > len(settled_weight):
+            for key in islice(table, len(settled_weight), None):
+                settled_weight[key] = word_weight(table[key], weights)
 
     def best_output(buf: Buffer) -> tuple[_Candidate, Buffer, float] | None:
         # Only candidates scoring at least 1/eta_prime may be emitted;
         # among those the best-ranked one wins, first found on ties, so
-        # rebuilds from equal parameters are byte-identical.
+        # rebuilds from equal parameters are byte-identical.  A remainder
+        # counts only if it is settled.  The first candidate scanned
+        # settles the forms up to the buffer's weight plus one, so a scan
+        # cut off at once settles nothing.
         e0, e1 = element_of(buf[0]), element_of(buf[1])
         w0 = word_weight(buf[0], weights)
         w1 = word_weight(buf[1], weights)
         total, bal = w0 + w1, abs(w0 - w1)
-        cap = total + SCALE
         slack = threshold - delta * bal / SCALE
         best = None
         best_score = float("-inf")
-        for cand in candidates:
+        for i, cand in enumerate(candidates):
             if slack > 0 and cand.weight * slack > total:
                 break  # weight-sorted: no later candidate can reach the threshold
-            s0 = forms.lookup_element(mul(cand.left, e0), cap)
-            if s0 is None:
+            if i == 0:
+                settle(total + SCALE)
+            r0 = mul(cand.left, e0)
+            o0 = settled_weight.get(id(r0))
+            if o0 is None:
                 continue
-            s1 = forms.lookup_element(mul(cand.right, e1), cap)
-            if s1 is None:
+            r1 = mul(cand.right, e1)
+            o1 = settled_weight.get(id(r1))
+            if o1 is None:
                 continue
-            o0, o1 = word_weight(s0, weights), word_weight(s1, weights)
             q = _score(w0, w1, o0, o1, cand.weight, delta)
             if q < threshold - 1e-12:
                 continue
@@ -168,7 +184,7 @@ def build(params: BuildParams, log: list[str] | None = None) -> TransducerGraph:
             else:
                 score = q
             if score > best_score + 1e-12:
-                best = (cand, (s0, s1), q)
+                best = (cand, (forms.table[id(r0)], forms.table[id(r1)]), q)
                 best_score = score
         return best
 

@@ -18,8 +18,8 @@ from .automaton import (GraphFormatError, TransduceError, max_cycle_ratio,
                         parse_graph, serialize_graph, transduce, verify_graph)
 from .builder import BuildParams, build
 from .elements import is_trivial
-from .growth import (BoundParams, alpha_of_eta, check_subgroup_growth, gamma,
-                     gamma_restricted, lower_bound_log_gamma)
+from .growth import (BoundParams, alpha_of_eta, check_subgroup_growth,
+                     gamma_table, lower_bound_log_gamma)
 from .minforms import (MinimalForms, SCALE, TUNED_WEIGHTS, UNIT_WEIGHTS,
                        Weight, format_scaled, parse_weights)
 from .optimizer import OptimizerSchedule, optimize_weights, trace_csv
@@ -102,14 +102,9 @@ def _cmd_preimage_basic(args) -> int:
 
 def _growth_rows(weights: Weight, max_radius: int,
                  subgroup: bool) -> list[tuple[str, int]]:
-    forms = MinimalForms(weights)
-    rows = []
-    for r in range(max_radius + 1):
-        radius = r * SCALE
-        count = (gamma_restricted(forms, radius, in_H) if subgroup
-                 else gamma(forms, radius))
-        rows.append((format_scaled(radius), count))
-    return rows
+    radii = [r * SCALE for r in range(max_radius + 1)]
+    table = gamma_table(MinimalForms(weights), radii, in_H if subgroup else None)
+    return [(format_scaled(radius), count) for radius, count in table]
 
 
 def _cmd_growth(args) -> int:

@@ -46,10 +46,11 @@ GEN_B.left, GEN_B.right = GEN_A, GEN_C
 GEN_C.left, GEN_C.right = GEN_A, GEN_D
 GEN_D.left, GEN_D.right = IDENTITY, GEN_B
 
-_ATOM = {"": IDENTITY, "a": GEN_A, "b": GEN_B, "c": GEN_C, "d": GEN_D}
+# The element of each word of length at most one.
+ATOMS = {"": IDENTITY, "a": GEN_A, "b": GEN_B, "c": GEN_C, "d": GEN_D}
 
 _INTERN: dict[tuple[int, int, int], Element] = {
-    (e.swap, id(e.left), id(e.right)): e for e in _ATOM.values() if e.left is not None
+    (e.swap, id(e.left), id(e.right)): e for e in ATOMS.values() if e.left is not None
 }
 
 
@@ -67,7 +68,7 @@ def _node(swap: int, left: Element, right: Element) -> Element:
 @lru_cache(maxsize=None)
 def _element_of_reduced(w: str) -> Element:
     if len(w) <= 1:
-        return _ATOM[w]
+        return ATOMS[w]
     p, s0, s1 = sections(w)
     return _node(p, _element_of_reduced(s0), _element_of_reduced(s1))
 
@@ -77,10 +78,10 @@ def _element_of_reduced(w: str) -> Element:
 # seeds; every other section pair is structurally smaller.
 _MUL: dict[tuple[int, int], Element] = {}
 for _x, _y, _z in (("b", "c", "d"), ("c", "d", "b"), ("d", "b", "c")):
-    _MUL[(id(_ATOM[_x]), id(_ATOM[_y]))] = _ATOM[_z]
-    _MUL[(id(_ATOM[_y]), id(_ATOM[_x]))] = _ATOM[_z]
+    _MUL[(id(ATOMS[_x]), id(ATOMS[_y]))] = ATOMS[_z]
+    _MUL[(id(ATOMS[_y]), id(ATOMS[_x]))] = ATOMS[_z]
 for _x in "abcd":
-    _MUL[(id(_ATOM[_x]), id(_ATOM[_x]))] = IDENTITY
+    _MUL[(id(ATOMS[_x]), id(ATOMS[_x]))] = IDENTITY
 
 
 def mul(g: Element, h: Element) -> Element:

@@ -13,6 +13,7 @@ at larger radii.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Sequence
@@ -24,39 +25,33 @@ from .words import LETTERS, act, free_reduce
 GrowthTable = list[tuple[int, int]]
 
 
-def gamma(mfs: MinimalForms, radius: int) -> int:
-    """Number of elements of weight <= radius (scaled units)."""
-    mfs.extend(radius)
-    return sum(1 for w in mfs.settled_words()
-               if word_weight(w, mfs.weights) <= radius)
+def gamma_table(mfs: MinimalForms, radii: Sequence[int],
+                predicate: Callable[[str], bool] | None = None) -> GrowthTable:
+    """Ball counts at each requested scaled radius, in one pass.
 
-
-def gamma_table(mfs: MinimalForms, radii: Sequence[int]) -> GrowthTable:
-    """Ball counts at each requested scaled radius, one pass."""
+    With a predicate, only elements whose canonical word passes it are
+    counted.  It is intended for the kernel-membership predicates
+    (parity-even subgroup, normal closure of b), which are properties of
+    the element and hence independent of the word chosen.
+    """
     radii = sorted(radii)
     if radii:
         mfs.extend(radii[-1])
-    weights = sorted(word_weight(w, mfs.weights) for w in mfs.settled_words())
-    table: GrowthTable = []
-    i = 0
-    for r in radii:
-        while i < len(weights) and weights[i] <= r:
-            i += 1
-        table.append((r, i))
-    return table
+    # forms come in settle order, so their weights never decrease
+    weights = [word_weight(w, mfs.weights) for w in mfs.settled_words()
+               if predicate is None or predicate(w)]
+    return [(r, bisect_right(weights, r)) for r in radii]
+
+
+def gamma(mfs: MinimalForms, radius: int) -> int:
+    """Number of elements of weight <= radius (scaled units)."""
+    return gamma_table(mfs, [radius])[0][1]
 
 
 def gamma_restricted(mfs: MinimalForms, radius: int,
                      predicate: Callable[[str], bool]) -> int:
-    """Ball count restricted to elements whose canonical word passes a test.
-
-    Intended for the kernel-membership predicates (parity-even subgroup,
-    normal closure of b), which are properties of the element and hence
-    independent of the word chosen.
-    """
-    mfs.extend(radius)
-    return sum(1 for w in mfs.settled_words()
-               if word_weight(w, mfs.weights) <= radius and predicate(w))
+    """Ball count of the elements whose canonical word passes a test."""
+    return gamma_table(mfs, [radius], predicate)[0][1]
 
 
 def gamma_by_signature(max_len: int, probe_depth: int = 5) -> list[int]:
@@ -111,13 +106,10 @@ def check_subgroup_growth(mfs: MinimalForms, radii: Sequence[int],
     at most K, the subgroup ball of radius n, scaled by the index, is
     wedged between whole-group balls at radius n -+ K.
     """
-    out = []
-    for r in radii:
-        lower = gamma(mfs, r - shift)
-        middle = index * gamma_restricted(mfs, r, predicate)
-        upper = gamma(mfs, r + shift)
-        out.append(SubgroupGrowthCheck(r, lower, middle, upper))
-    return out
+    whole = dict(gamma_table(mfs, [r + s for r in radii for s in (-shift, shift)]))
+    sub = dict(gamma_table(mfs, radii, predicate))
+    return [SubgroupGrowthCheck(r, whole[r - shift], index * sub[r],
+                                whole[r + shift]) for r in radii]
 
 
 def alpha_of_eta(eta: float) -> float:

@@ -10,6 +10,18 @@ The search settles elements in order of (weight, word length, fixed
 letter order), which picks one canonical minimal form per element.  The
 frontier is kept between calls, so raising the radius resumes rather
 than restarts.
+
+Only freely reduced words are searched, and each is pushed once, from
+its one-letter-shorter prefix: a word ending in a grows by b, c or d, a
+word ending in b, c or d grows by a.  Every other one-letter extension
+reduces to a word pushed already: a cancellation gives the word's own
+settled prefix, and a merge such as ``...ab + c -> ...ad`` gives a word
+that the settled prefix ``...a`` pushed.  So the words that can settle,
+and their priorities, are those of a search over all extensions, and the
+canonical forms and their settle order are the same.  Each heap entry
+carries its element, the parent's element times one generator.  Weights
+are positive, so a word never outranks its prefix and forms settle in
+order of non-decreasing weight.
 """
 
 from __future__ import annotations
@@ -17,7 +29,7 @@ from __future__ import annotations
 import heapq
 from typing import Callable, Iterable
 
-from .elements import Element, element_of
+from .elements import ATOMS, Element, element_of, mul
 from .words import LETTERS, free_reduce
 
 SCALE = 10_000
@@ -25,8 +37,14 @@ SCALE = 10_000
 Weight = dict[str, int]
 
 # Canonical tie-break order between equal-weight, equal-length words:
-# letters sorted by increasing tuned weight (a, d, c, b).
-_LEX = {"a": 0, "d": 1, "c": 2, "b": 3}
+# letters sorted by increasing tuned weight (a, d, c, b).  A word's key
+# spells it over "0123" in that order, so comparing keys of equal length
+# compares the words.
+_KEY = str.maketrans("adcb", "0123")
+_WORD = str.maketrans("0123", "adcb")
+
+# The letters a reduced word may grow by, keyed by its last key digit.
+_NEXT = {"": "adcb", "0": "dcb", "1": "a", "2": "a", "3": "a"}
 
 UNIT_WEIGHTS: Weight = {ch: SCALE for ch in LETTERS}
 # The tuned weights shipped with the appendix fixture.
@@ -95,8 +113,8 @@ def word_weight(word: str, w: Weight) -> int:
     return sum(w[ch] for ch in word)
 
 
-def _priority(word: str, w: Weight) -> tuple[int, int, tuple[int, ...]]:
-    return word_weight(word, w), len(word), tuple(_LEX[ch] for ch in word)
+def _priority(word: str, w: Weight) -> tuple[int, int, str]:
+    return word_weight(word, w), len(word), word.translate(_KEY)
 
 
 class MinimalForms:
@@ -108,29 +126,37 @@ class MinimalForms:
         self.element_budget = element_budget
         self.table: dict[int, str] = {}
         self._elems: dict[int, Element] = {}
-        self._heap: list[tuple[tuple[int, int, tuple[int, ...]], str]] = []
+        # (weight, length, key, element) of each pushed, unsettled word
+        self._heap: list[tuple[int, int, str, Element]] = [(0, 0, "", ATOMS[""])]
+        self._grow = {last: [(ch.translate(_KEY), weights[ch], ATOMS[ch])
+                             for ch in letters]
+                      for last, letters in _NEXT.items()}
         self._settled_upto = -1
-        heapq.heappush(self._heap, (_priority("", weights), ""))
 
     def extend(self, radius: int) -> None:
-        """Settle every element of weight <= radius (scaled units)."""
+        """Settle every element of weight <= radius (scaled units).
+
+        Pops words in priority order and settles each whose element is
+        new; a settled word pushes its reduced one-letter extensions
+        whose elements are not settled yet (see the module docstring).
+        """
         if radius <= self._settled_upto:
             return
-        while self._heap and self._heap[0][0][0] <= radius:
-            prio, word = heapq.heappop(self._heap)
-            e = element_of(word)
-            if id(e) in self.table:
+        heap, table, elems = self._heap, self.table, self._elems
+        while heap and heap[0][0] <= radius:
+            weight, n, key, e = heapq.heappop(heap)
+            if id(e) in table:
                 continue
-            if len(self.table) >= self.element_budget:
+            if len(table) >= self.element_budget:
                 raise RuntimeError(
                     f"element budget {self.element_budget} exceeded at radius "
-                    f"{format_scaled(prio[0])}")
-            self.table[id(e)] = word
-            self._elems[id(e)] = e
-            for g in LETTERS:
-                nxt = free_reduce(word + g)
-                if nxt != word:
-                    heapq.heappush(self._heap, (_priority(nxt, self.weights), nxt))
+                    f"{format_scaled(weight)}")
+            table[id(e)] = key.translate(_WORD)
+            elems[id(e)] = e
+            for digit, cost, gen in self._grow[key[-1:]]:
+                child = mul(e, gen)
+                if id(child) not in table:
+                    heapq.heappush(heap, (weight + cost, n + 1, key + digit, child))
         self._settled_upto = radius
 
     def minimal_form(self, word: str) -> str:
@@ -151,12 +177,8 @@ class MinimalForms:
         return word_weight(word, self.weights) == self.element_weight(word)
 
     def settled_words(self) -> Iterable[str]:
+        """Canonical forms in settle order, so their weights never decrease."""
         return self.table.values()
-
-    def lookup_element(self, e: Element, cap: int) -> str | None:
-        """Canonical word for an element, or None if its weight exceeds cap."""
-        self.extend(cap)
-        return self.table.get(id(e))
 
     def enumerate_forms(self, max_len: int,
                         predicate: Callable[[str], bool] | None = None,

@@ -1,7 +1,9 @@
 """Tests for the transducer graph: parsing, verification, cycle analysis,
 and word transduction against the bundled machine."""
 
+import importlib.util
 import math
+import pathlib
 import random
 from fractions import Fraction
 from itertools import product
@@ -95,6 +97,16 @@ class TestParsing:
 
     def test_serialize_round_trip(self, fixture_text, fixture_graph):
         assert serialize_graph(fixture_graph) == fixture_text
+
+    def test_fixture_regenerates(self, fixture_text):
+        # the generator respells every label through minimal forms, so the
+        # bundled file pins the canonical spellings as well as the table
+        path = (pathlib.Path(__file__).resolve().parent.parent
+                / "tools" / "make_fixture.py")
+        spec = importlib.util.spec_from_file_location("make_fixture", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        assert serialize_graph(module.build_fixture()[0]) == fixture_text
 
     def test_toy_round_trip_stable(self):
         once = serialize_graph(parse_graph(TOY))

@@ -1,5 +1,7 @@
 """Weighted minimal forms: weights, canonical spellings, enumeration."""
 
+import hashlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -72,6 +74,50 @@ class TestCanonicalForm:
     def test_idempotent(self, tuned_forms, w):
         m = tuned_forms.minimal_form(w)
         assert tuned_forms.minimal_form(m) == m
+
+
+def settled_digest(forms):
+    return hashlib.sha256("\n".join(forms.table.values()).encode()).hexdigest()
+
+
+class TestSettleOrder:
+    # digests of the canonical forms in settle order, measured with a
+    # search that pushed every one-letter extension; a change of any
+    # form or of their order shows here
+    def test_unit_weights(self):
+        forms = MinimalForms(dict(UNIT_WEIGHTS))
+        forms.extend(12 * SCALE)
+        assert len(forms.table) == 1487
+        assert settled_digest(forms) == (
+            "ebeadbd0a30179505fc13adb297a71a7db87d3c3c7729ff2c6cdaf131e0adb46")
+
+    def test_skewed_weights(self):
+        forms = MinimalForms(parse_weights("a=1.3 b=1 c=1.7 d=0.9"))
+        forms.extend(14 * SCALE)
+        assert len(forms.table) == 906
+        assert settled_digest(forms) == (
+            "991c239ac0ae92b61b86d859961a1718dce693304fb731cec60ae8788d10c2cf")
+
+    def test_steps_equal_one_call(self):
+        once = MinimalForms(dict(TUNED_WEIGHTS))
+        once.extend(20 * SCALE)
+        steps = MinimalForms(dict(TUNED_WEIGHTS))
+        for r in (0, 3 * SCALE, 3 * SCALE, 11 * SCALE + 1234, 20 * SCALE):
+            steps.extend(r)
+        assert list(steps.table.items()) == list(once.table.items())
+
+    def test_weights_never_decrease(self, tuned_forms):
+        tuned_forms.extend(16 * SCALE)
+        weights = [word_weight(w, TUNED_WEIGHTS)
+                   for w in tuned_forms.settled_words()]
+        assert weights == sorted(weights)
+
+    def test_element_budget(self):
+        forms = MinimalForms(dict(UNIT_WEIGHTS), element_budget=5)
+        forms.extend(SCALE)
+        with pytest.raises(RuntimeError,
+                           match="element budget 5 exceeded at radius 2"):
+            forms.extend(2 * SCALE)
 
 
 class TestEnumeration:

@@ -153,7 +153,6 @@ class TestPreimage:
             w = psi_preimage_basic(h0, h1)
             v0, v1 = psi(free_reduce(w))
             assert words_equal(v0, h0) and words_equal(v1, h1)
-            assert len(w) <= 4 * max(len(h0), len(h1)) + 12
 
     def test_length_bound(self):
         # 4*|w0| + 2*|w1| + 4 holds for freely reduced w0, while the
