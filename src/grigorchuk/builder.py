@@ -134,9 +134,15 @@ def build(params: BuildParams, log: list[str] | None = None) -> TransducerGraph:
             if t.dst == old and t.output is not None:
                 t.dst = new
 
-    order = params.candidate_order
+    eta_prime = params.eta_prime
+    # each order's score is non-decreasing in (q, margin)
+    rank = {"quality": lambda q, margin: q,
+            "margin": lambda q, margin: margin,
+            "contract": lambda q, margin: (margin >= 0) * 1e9 + q,
+            }[params.candidate_order]
     # scaled weight of each settled form, keyed like forms.table
     settled_weight: dict[int, int] = {}
+    scanned = 0
 
     def settle(radius: int) -> None:
         """Extend the forms to radius and record the new forms' weights."""
@@ -153,16 +159,30 @@ def build(params: BuildParams, log: list[str] | None = None) -> TransducerGraph:
         # counts only if it is settled.  The first candidate scanned
         # settles the forms up to the buffer's weight plus one, so a scan
         # cut off at once settles nothing.
+        #
+        # Candidates come weight-sorted and remainder weights are >= 0, so
+        # a candidate of weight W has q <= total/W + delta*bal/SCALE and
+        # margin <= total - 2W/eta_prime, and both bounds fall as W grows.
+        # Once rank(bounds) <= best_score + 1e-12, no later candidate can
+        # pass the strict "> best_score + 1e-12" test, so the scan stops
+        # with the same winner.  The float bounds are safe: the numerators
+        # are exact integers, and IEEE division and addition are monotone.
+        nonlocal scanned
         e0, e1 = element_of(buf[0]), element_of(buf[1])
         w0 = word_weight(buf[0], weights)
         w1 = word_weight(buf[1], weights)
         total, bal = w0 + w1, abs(w0 - w1)
-        slack = threshold - delta * bal / SCALE
+        bonus = delta * bal / SCALE
+        slack = threshold - bonus
         best = None
         best_score = float("-inf")
         for i, cand in enumerate(candidates):
             if slack > 0 and cand.weight * slack > total:
-                break  # weight-sorted: no later candidate can reach the threshold
+                break  # no later candidate can reach the threshold
+            if best is not None and rank(
+                    total / cand.weight + bonus,
+                    total - 2 * cand.weight / eta_prime) <= best_score + 1e-12:
+                break  # no later candidate can beat the best found
             if i == 0:
                 settle(total + SCALE)
             r0 = mul(cand.left, e0)
@@ -176,16 +196,13 @@ def build(params: BuildParams, log: list[str] | None = None) -> TransducerGraph:
             q = _score(w0, w1, o0, o1, cand.weight, delta)
             if q < threshold - 1e-12:
                 continue
-            margin = (total - o0 - o1) - 2 * cand.weight / params.eta_prime
-            if order == "margin":
-                score = margin
-            elif order == "contract":
-                score = (margin >= 0) * 1e9 + q
-            else:
-                score = q
+            score = rank(q, (total - o0 - o1) - 2 * cand.weight / eta_prime)
             if score > best_score + 1e-12:
                 best = (cand, (forms.table[id(r0)], forms.table[id(r1)]), q)
                 best_score = score
+        else:
+            i = len(candidates)  # no cut fired: all were scanned
+        scanned += i
         return best
 
     # Chunk successors must be materialized under their exact buffer (the
@@ -264,4 +281,5 @@ def build(params: BuildParams, log: list[str] | None = None) -> TransducerGraph:
         n_in = sum(1 for s in graph.states.values() if s.kind == "input")
         log.append(f"states: {len(graph.states)} ({n_in} input), "
                    f"specials attached: {attached}")
+        log.append(f"candidates scanned: {scanned}")
     return graph

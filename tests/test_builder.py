@@ -1,6 +1,8 @@
 """Tests for the transducer construction: quality scoring, parameter
 validation, and full deterministic builds."""
 
+import hashlib
+
 import pytest
 
 from grigorchuk import (
@@ -11,7 +13,9 @@ from grigorchuk import (
     serialize_graph,
     verify_graph,
 )
-from grigorchuk.minforms import TUNED_WEIGHTS, UNIT_WEIGHTS, parse_weights
+from grigorchuk.builder import _candidates
+from grigorchuk.minforms import (TUNED_WEIGHTS, UNIT_WEIGHTS, MinimalForms,
+                                 parse_weights)
 
 # weights under which the construction lands on its lowest measured cycle
 # ratio; several build tests share one graph because a build takes seconds
@@ -19,8 +23,14 @@ VALLEY = parse_weights("a=1 b=2.7 c=2.0 d=1.3")
 
 
 @pytest.fixture(scope="module")
-def valley_graph():
-    return build(BuildParams(initial_weight=VALLEY))
+def valley_build():
+    log = []
+    return build(BuildParams(initial_weight=VALLEY), log=log), log
+
+
+@pytest.fixture(scope="module")
+def valley_graph(valley_build):
+    return valley_build[0]
 
 
 class TestQuality:
@@ -102,11 +112,40 @@ class TestBuild:
         again = build(BuildParams(initial_weight=VALLEY))
         assert serialize_graph(again) == serialize_graph(valley_graph)
 
-    def test_build_log(self):
-        log = []
-        build(BuildParams(initial_weight=VALLEY), log=log)
+    def test_build_log(self, valley_build):
+        _, log = valley_build
         assert log[0] == "candidate outputs: 18221"
         assert any(line.startswith("output ") for line in log)
+        assert log[-2] == "states: 221 (19 input), specials attached: 39"
+        assert log[-1] == "candidates scanned: 142578"
+
+    def test_candidates_weight_sorted(self):
+        # both cuts in best_output stop the scan on this order
+        weights = [c.weight for c in _candidates(MinimalForms(VALLEY), 12, None)]
+        assert weights == sorted(weights)
+
+    # sha256 of serialize_graph(build(...)) as a full, uncut scan gives it;
+    # a cut that changes a winner fails here
+    @pytest.mark.parametrize("kwargs, digest", [
+        (dict(initial_weight=VALLEY, max_len=16),
+         "dfaee3ac1ea8ac5f2b6438374b2c20b3d36d711879f8ba2faf014b7b20144f06"),
+        (dict(initial_weight=VALLEY, max_len=16, candidate_order="contract"),
+         "dfaee3ac1ea8ac5f2b6438374b2c20b3d36d711879f8ba2faf014b7b20144f06"),
+        (dict(initial_weight=VALLEY, max_len=16, candidate_order="margin"),
+         "fdf958362d2efd2d1bb6c850900687aeb328c5e3dd15a367e97d56e51842abc7"),
+        (dict(initial_weight=parse_weights("a=1 b=3.33 c=2.8 d=1.06"),
+              max_len=14),
+         "e7f330f380b1e9a571c7be22354bf5c05949bc19a554148ad8ece49dbf4737df"),
+        (dict(initial_weight=dict(UNIT_WEIGHTS), max_len=12),
+         "889fabc63a1699c4c71fb08185cd08efb61af7c104bf746e20a1257d6109ca50"),
+        (dict(initial_weight=parse_weights("a=1 b=2.5 c=2.2 d=1.4"),
+              max_len=14, eta_prime=3.6),
+         "ab680534f7dd0a2d7de2fc780f758519fbee6464eb52abc62229d8e809c5a589"),
+    ], ids=["valley-quality", "valley-contract", "valley-margin",
+            "b3.33-c2.8-d1.06", "unit", "eta-prime-3.6"])
+    def test_output_digest(self, kwargs, digest):
+        text = serialize_graph(build(BuildParams(**kwargs)))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_budget_exceeded(self):
         with pytest.raises(RuntimeError, match="budget exceeded"):
