@@ -294,22 +294,30 @@ def parse_graph(text: str) -> TransducerGraph:
             if mid not in graph.states:
                 graph.add_state(mid, "output")
 
-    # Second pass: resolve successors and lay down transitions.
+    # Second pass: resolve successors and lay down transitions.  Each
+    # output state gets one output transition; a line that repeats it (a
+    # special whose buffer an edge already emits from, say) adds none.
     seen_out: dict[Buffer, tuple[str, Buffer]] = {}
+
+    def add_output(where: str, state: Buffer, output: str, resolved: Buffer,
+                   special: bool = False) -> None:
+        prior = seen_out.get(state)
+        if prior is None:
+            seen_out[state] = (output, resolved)
+            graph.transitions.append(
+                Transition(state, resolved, output=output, special=special))
+        elif prior != (output, resolved):
+            raise GraphFormatError(
+                f"{where}: duplicate state {_buffer_to_text(state)} with "
+                f"conflicting output transitions")
+
     for where, kind, src, label, output, target in parsed:
         resolved = graph.resolve(target)
         if resolved is None:
             raise GraphFormatError(
                 f"{where}: dangling endpoint {_buffer_to_text(target)}")
         if kind == "out":
-            prior = seen_out.get(src)
-            if prior is None:
-                seen_out[src] = (output, resolved)
-                graph.transitions.append(Transition(src, resolved, output=output))
-            elif prior != (output, resolved):
-                raise GraphFormatError(
-                    f"{where}: duplicate state {_buffer_to_text(src)} with "
-                    f"conflicting output transitions")
+            add_output(where, src, output, resolved)
         elif kind == "edge":
             if output is None:
                 graph.transitions.append(Transition(src, resolved, chunk=label))
@@ -317,21 +325,12 @@ def parse_graph(text: str) -> TransducerGraph:
             mid = (graph.forms.minimal_form(src[0] + label[0]),
                    graph.forms.minimal_form(src[1] + label[1]))
             graph.transitions.append(Transition(src, mid, chunk=label))
-            prior = seen_out.get(mid)
-            if prior is None:
-                seen_out[mid] = (output, resolved)
-                graph.transitions.append(
-                    Transition(mid, resolved, output=output))
-            elif prior != (output, resolved):
-                raise GraphFormatError(
-                    f"{where}: duplicate state {_buffer_to_text(mid)} with "
-                    f"conflicting output transitions")
+            add_output(where, mid, output, resolved)
         else:
             mid = (src[0], graph.forms.minimal_form(src[1] + label))
             graph.transitions.append(
                 Transition(src, mid, pad=label, special=True))
-            graph.transitions.append(
-                Transition(mid, resolved, output=output, special=True))
+            add_output(where, mid, output, resolved, special=True)
 
     for st in graph.states.values():
         if st.kind != "input":

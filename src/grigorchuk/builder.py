@@ -13,8 +13,7 @@ max_cycle_ratio.  Special end-of-input transitions are attached last.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from itertools import islice
+from dataclasses import dataclass
 
 from .automaton import Transition, TransducerGraph
 from .elements import element_of, mul
@@ -140,17 +139,8 @@ def build(params: BuildParams, log: list[str] | None = None) -> TransducerGraph:
             "margin": lambda q, margin: margin,
             "contract": lambda q, margin: (margin >= 0) * 1e9 + q,
             }[params.candidate_order]
-    # scaled weight of each settled form, keyed like forms.table
-    settled_weight: dict[int, int] = {}
+    form_weight = forms.form_weight
     scanned = 0
-
-    def settle(radius: int) -> None:
-        """Extend the forms to radius and record the new forms' weights."""
-        forms.extend(radius)
-        table = forms.table
-        if len(table) > len(settled_weight):
-            for key in islice(table, len(settled_weight), None):
-                settled_weight[key] = word_weight(table[key], weights)
 
     def best_output(buf: Buffer) -> tuple[_Candidate, Buffer, float] | None:
         # Only candidates scoring at least 1/eta_prime may be emitted;
@@ -184,13 +174,13 @@ def build(params: BuildParams, log: list[str] | None = None) -> TransducerGraph:
                     total - 2 * cand.weight / eta_prime) <= best_score + 1e-12:
                 break  # no later candidate can beat the best found
             if i == 0:
-                settle(total + SCALE)
+                forms.extend(total + SCALE)
             r0 = mul(cand.left, e0)
-            o0 = settled_weight.get(id(r0))
+            o0 = form_weight.get(id(r0))
             if o0 is None:
                 continue
             r1 = mul(cand.right, e1)
-            o1 = settled_weight.get(id(r1))
+            o1 = form_weight.get(id(r1))
             if o1 is None:
                 continue
             q = _score(w0, w1, o0, o1, cand.weight, delta)

@@ -19,8 +19,8 @@ from itertools import product
 from typing import Callable, Sequence
 
 from .elements import words_equal
-from .minforms import SCALE, MinimalForms, Weight, word_weight
-from .words import LETTERS, act, free_reduce
+from .minforms import MinimalForms
+from .words import LETTERS, act_letter, free_reduce
 
 GrowthTable = list[tuple[int, int]]
 
@@ -38,8 +38,10 @@ def gamma_table(mfs: MinimalForms, radii: Sequence[int],
     if radii:
         mfs.extend(radii[-1])
     # forms come in settle order, so their weights never decrease
-    weights = [word_weight(w, mfs.weights) for w in mfs.settled_words()
-               if predicate is None or predicate(w)]
+    weights = list(mfs.form_weight.values())
+    if predicate is not None:
+        weights = [w for w, form in zip(weights, mfs.table.values())
+                   if predicate(form)]
     return [(r, bisect_right(weights, r)) for r in radii]
 
 
@@ -61,26 +63,30 @@ def gamma_by_signature(max_len: int, probe_depth: int = 5) -> list[int]:
     their action on every binary string of length <= probe_depth, and
     confirms equality inside each bucket exactly.  Deliberately avoids the
     canonical-form machinery so the two back-ends can check each other.
+
+    A letter maps each probe to a probe of the same length, so one table
+    of letter steps over probe indices gives every action: a word's
+    signature lists the index each probe goes to, and ``w + g`` sends
+    probe i to ``step[g][sig(w)[i]]``.
     """
     probes = ["".join(bits) for n in range(1, probe_depth + 1)
               for bits in product("01", repeat=n)]
-
-    def signature(w: str) -> tuple[str, ...]:
-        return tuple(act(w, s) for s in probes)
+    index = {s: i for i, s in enumerate(probes)}
+    step = {g: [index[act_letter(g, s)] for s in probes] for g in LETTERS}
 
     counts = []
-    buckets: dict[tuple[str, ...], list[str]] = {}
-    frontier = [""]
+    buckets: dict[tuple[int, ...], list[str]] = {}
+    frontier = [("", tuple(range(len(probes))))]
     total = 0
     for length in range(max_len + 1):
-        for w in frontier:
-            sig = signature(w)
+        for w, sig in frontier:
             known = buckets.setdefault(sig, [])
             if not any(words_equal(w, seen) for seen in known):
                 known.append(w)
                 total += 1
         counts.append(total)
-        frontier = [w + g for w in frontier for g in LETTERS
+        frontier = [(w + g, tuple(map(step[g].__getitem__, sig)))
+                    for w, sig in frontier for g in LETTERS
                     if free_reduce(w + g) == w + g]
     return counts
 

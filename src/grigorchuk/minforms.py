@@ -27,7 +27,7 @@ order of non-decreasing weight.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Iterable
+from typing import Callable
 
 from .elements import ATOMS, Element, element_of, mul
 from .words import LETTERS, free_reduce
@@ -113,10 +113,6 @@ def word_weight(word: str, w: Weight) -> int:
     return sum(w[ch] for ch in word)
 
 
-def _priority(word: str, w: Weight) -> tuple[int, int, str]:
-    return word_weight(word, w), len(word), word.translate(_KEY)
-
-
 class MinimalForms:
     """Canonical minimal forms for one weight, computed incrementally."""
 
@@ -125,7 +121,11 @@ class MinimalForms:
         self.weights = dict(weights)
         self.element_budget = element_budget
         self.table: dict[int, str] = {}
-        self._elems: dict[int, Element] = {}
+        # scaled weight of each settled form, keyed and ordered like table;
+        # forms settle in priority order, so these never decrease
+        self.form_weight: dict[int, int] = {}
+        # keeps settled elements alive, so their ids stay unique
+        self._elems: list[Element] = []
         # (weight, length, key, element) of each pushed, unsettled word
         self._heap: list[tuple[int, int, str, Element]] = [(0, 0, "", ATOMS[""])]
         self._grow = {last: [(ch.translate(_KEY), weights[ch], ATOMS[ch])
@@ -143,6 +143,7 @@ class MinimalForms:
         if radius <= self._settled_upto:
             return
         heap, table, elems = self._heap, self.table, self._elems
+        form_weight = self.form_weight
         while heap and heap[0][0] <= radius:
             weight, n, key, e = heapq.heappop(heap)
             if id(e) in table:
@@ -152,33 +153,32 @@ class MinimalForms:
                     f"element budget {self.element_budget} exceeded at radius "
                     f"{format_scaled(weight)}")
             table[id(e)] = key.translate(_WORD)
-            elems[id(e)] = e
+            form_weight[id(e)] = weight
+            elems.append(e)
             for digit, cost, gen in self._grow[key[-1:]]:
                 child = mul(e, gen)
                 if id(child) not in table:
                     heapq.heappush(heap, (weight + cost, n + 1, key + digit, child))
         self._settled_upto = radius
 
+    def _settled_id(self, word: str) -> int:
+        """The table key of the element of ``word``, settled if it was not."""
+        key = id(element_of(word))
+        if key not in self.table:
+            self.extend(word_weight(free_reduce(word), self.weights))
+        return key
+
     def minimal_form(self, word: str) -> str:
         """The canonical minimal-weight word for the element of ``word``."""
-        e = element_of(word)
-        found = self.table.get(id(e))
-        if found is not None:
-            return found
-        self.extend(word_weight(free_reduce(word), self.weights))
-        return self.table[id(e)]
+        return self.table[self._settled_id(word)]
 
     def element_weight(self, word: str) -> int:
         """Scaled weight of the element represented by ``word``."""
-        return word_weight(self.minimal_form(word), self.weights)
+        return self.form_weight[self._settled_id(word)]
 
     def is_minimal(self, word: str) -> bool:
         """Whether ``word`` has the least weight among words for its element."""
         return word_weight(word, self.weights) == self.element_weight(word)
-
-    def settled_words(self) -> Iterable[str]:
-        """Canonical forms in settle order, so their weights never decrease."""
-        return self.table.values()
 
     def enumerate_forms(self, max_len: int,
                         predicate: Callable[[str], bool] | None = None,
@@ -189,16 +189,16 @@ class MinimalForms:
         so a form of <= max_len letters weighs at most ceil(max_len/2) heavy
         letters plus floor(max_len/2) copies of a; settling that radius is
         sufficient.  max_weight restricts the enumeration to a smaller
-        radius when the caller only needs light forms.
+        radius when the caller only needs light forms.  Forms settle in
+        priority order (weight, length, letter order), so the result is
+        in that order too.
         """
         heavy = max(self.weights[x] for x in "bcd")
         radius = (max_len + 1) // 2 * heavy + max_len // 2 * self.weights["a"]
         if max_weight is not None:
             radius = min(radius, max_weight)
         self.extend(radius)
-        out = [w for w in self.table.values()
-               if len(w) <= max_len
-               and word_weight(w, self.weights) <= radius
-               and (predicate is None or predicate(w))]
-        out.sort(key=lambda w: _priority(w, self.weights))
-        return out
+        form_weight = self.form_weight
+        return [w for k, w in self.table.items()
+                if len(w) <= max_len and form_weight[k] <= radius
+                and (predicate is None or predicate(w))]

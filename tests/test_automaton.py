@@ -58,6 +58,13 @@ edge (d,-) out aca -> (c,-)
 edge (c,-) out aca -> (d,-)
 """
 
+# A special whose middle buffer (-,b) is an output state already: the
+# special line repeats that state's output d instead of adding a second.
+SHARED_MID = HEADER + "state (-,b) output\n" + SILENT_LOOPS + """\
+edge (-,b) out d -> (-,-)
+special (-,-) pad (_,b) out d -> (-,-)
+"""
+
 
 def replay_certificate(graph):
     """Check the engine's exact eta against its witness and potentials."""
@@ -152,6 +159,23 @@ class TestParsing:
     def test_bad_chunk_shape(self):
         text = TOY.replace("in (da,da)", "in (ad,da)")
         with pytest.raises(GraphFormatError, match="not of the form xa"):
+            parse_graph(text)
+
+    def test_special_shares_output_state(self):
+        graph = parse_graph(SHARED_MID)
+        outs = [t for t in graph.transitions
+                if t.src == ("", "b") and t.output is not None]
+        assert [(t.output, t.dst, t.special) for t in outs] == [
+            ("d", ("", ""), False)]
+        assert graph.special_transitions(("", ""))["b"].dst == ("", "b")
+        assert serialize_graph(graph) == SHARED_MID
+        # the silent loops land on the wrong buffers; (-,b) itself is sound
+        assert not any("(-,b)" in v for v in verify_graph(graph).violations)
+
+    def test_special_conflicting_output(self):
+        text = SHARED_MID.replace("pad (_,b) out d", "pad (_,b) out ada")
+        with pytest.raises(GraphFormatError,
+                           match="conflicting output transitions"):
             parse_graph(text)
 
 

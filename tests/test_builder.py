@@ -9,6 +9,7 @@ from grigorchuk import (
     BuildParams,
     build,
     max_cycle_ratio,
+    parse_graph,
     quality,
     serialize_graph,
     verify_graph,
@@ -144,8 +145,13 @@ class TestBuild:
     ], ids=["valley-quality", "valley-contract", "valley-margin",
             "b3.33-c2.8-d1.06", "unit", "eta-prime-3.6"])
     def test_output_digest(self, kwargs, digest):
-        text = serialize_graph(build(BuildParams(**kwargs)))
+        graph = build(BuildParams(**kwargs))
+        text = serialize_graph(graph)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+        # the file verifies as the machine it was written from
+        built, reparsed = verify_graph(graph), verify_graph(parse_graph(text))
+        assert (reparsed.ok, reparsed.violations, reparsed.swapped_successors) \
+            == (built.ok, built.violations, built.swapped_successors)
 
     def test_budget_exceeded(self):
         with pytest.raises(RuntimeError, match="budget exceeded"):

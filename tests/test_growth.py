@@ -31,6 +31,13 @@ class TestGamma:
     def test_backends_agree(self, unit_forms):
         assert gamma_by_signature(10) == UNIT_BALLS
 
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    def test_signature_depths(self, depth):
+        # shallower probes merge more buckets, but equal elements must
+        # still share a signature, or the count would exceed the ball;
+        # the default depth 5 is test_backends_agree
+        assert gamma_by_signature(10, probe_depth=depth) == UNIT_BALLS
+
     def test_monotone(self, unit_forms):
         table = [gamma(unit_forms, n * SCALE) for n in range(9)]
         assert all(x < y for x, y in zip(table, table[1:]))

@@ -109,8 +109,11 @@ class TestSettleOrder:
     def test_weights_never_decrease(self, tuned_forms):
         tuned_forms.extend(16 * SCALE)
         weights = [word_weight(w, TUNED_WEIGHTS)
-                   for w in tuned_forms.settled_words()]
+                   for w in tuned_forms.table.values()]
         assert weights == sorted(weights)
+        # the weight stored at settle time is the form's own weight
+        assert list(tuned_forms.form_weight) == list(tuned_forms.table)
+        assert list(tuned_forms.form_weight.values()) == weights
 
     def test_element_budget(self):
         forms = MinimalForms(dict(UNIT_WEIGHTS), element_budget=5)
