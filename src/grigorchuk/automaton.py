@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
+from .elements import element_of, words_equal
 from .minforms import (MinimalForms, SCALE, Weight, format_scaled,
                        parse_weights, word_weight)
 from .words import (check_word, free_reduce, in_B, in_H,
@@ -134,6 +135,9 @@ class TransducerGraph:
         self.weights = dict(weights)
         self.states: dict[Buffer, State] = {}
         self.transitions: list[Transition] = []
+        # the transitions leaving each buffer, in insertion order
+        self.by_source: dict[Buffer, list[Transition]] = {}
+        self._initial: State | None = None
         self.forms = MinimalForms(weights)
 
     # -- construction -------------------------------------------------------
@@ -144,7 +148,13 @@ class TransducerGraph:
             raise GraphFormatError(f"duplicate state {_buffer_to_text(buffer)}")
         st = State(buffer, kind, initial, final)
         self.states[buffer] = st
+        if initial and self._initial is None:
+            self._initial = st
         return st
+
+    def add_transition(self, t: Transition) -> None:
+        self.transitions.append(t)
+        self.by_source.setdefault(t.src, []).append(t)
 
     def resolve(self, buffer: Buffer) -> Buffer | None:
         """Find a stored state for the buffer, directly or swapped."""
@@ -156,24 +166,23 @@ class TransducerGraph:
         return None
 
     def initial_state(self) -> State:
-        for st in self.states.values():
-            if st.initial:
-                return st
-        raise GraphFormatError("no initial state")
+        if self._initial is None:
+            raise GraphFormatError("no initial state")
+        return self._initial
 
     def input_transitions(self, src: Buffer) -> dict[Buffer, Transition]:
-        return {t.chunk: t for t in self.transitions
-                if t.src == src and t.chunk is not None and not t.special}
+        return {t.chunk: t for t in self.by_source.get(src, ())
+                if t.chunk is not None and not t.special}
 
     def output_transition(self, src: Buffer) -> Transition | None:
-        for t in self.transitions:
-            if t.src == src and t.output is not None:
+        for t in self.by_source.get(src, ()):
+            if t.output is not None:
                 return t
         return None
 
     def special_transitions(self, src: Buffer) -> dict[str, Transition]:
-        return {t.pad: t for t in self.transitions
-                if t.src == src and t.special and t.pad is not None}
+        return {t.pad: t for t in self.by_source.get(src, ())
+                if t.special and t.pad is not None}
 
 
 # --- parsing and serialization ---------------------------------------------
@@ -304,7 +313,7 @@ def parse_graph(text: str) -> TransducerGraph:
         prior = seen_out.get(state)
         if prior is None:
             seen_out[state] = (output, resolved)
-            graph.transitions.append(
+            graph.add_transition(
                 Transition(state, resolved, output=output, special=special))
         elif prior != (output, resolved):
             raise GraphFormatError(
@@ -320,23 +329,23 @@ def parse_graph(text: str) -> TransducerGraph:
             add_output(where, src, output, resolved)
         elif kind == "edge":
             if output is None:
-                graph.transitions.append(Transition(src, resolved, chunk=label))
+                graph.add_transition(Transition(src, resolved, chunk=label))
                 continue
             mid = (graph.forms.minimal_form(src[0] + label[0]),
                    graph.forms.minimal_form(src[1] + label[1]))
-            graph.transitions.append(Transition(src, mid, chunk=label))
+            graph.add_transition(Transition(src, mid, chunk=label))
             add_output(where, mid, output, resolved)
         else:
             mid = (src[0], graph.forms.minimal_form(src[1] + label))
-            graph.transitions.append(
+            graph.add_transition(
                 Transition(src, mid, pad=label, special=True))
             add_output(where, mid, output, resolved, special=True)
 
     for st in graph.states.values():
         if st.kind != "input":
             continue
-        chunks = [t.chunk for t in graph.transitions
-                  if t.src == st.buffer and t.chunk is not None]
+        chunks = [t.chunk for t in graph.by_source.get(st.buffer, ())
+                  if t.chunk is not None]
         if len(chunks) != 9 or len(set(chunks)) != 9:
             raise GraphFormatError(
                 f"wrong successor count at {_buffer_to_text(st.buffer)}: "
@@ -403,8 +412,6 @@ def verify_graph(graph: TransducerGraph) -> VerificationReport:
     successors.  A successor stored with swapped components is accepted
     and counted, not flagged.
     """
-    from .elements import element_of
-
     report = VerificationReport()
     report.input_states = sum(1 for s in graph.states.values()
                               if s.kind == "input")
@@ -463,16 +470,15 @@ def verify_graph(graph: TransducerGraph) -> VerificationReport:
                     f"section pair")
 
     for st in graph.states.values():
+        leaving = graph.by_source.get(st.buffer, ())
         if st.kind == "input":
-            chunks = set(t.chunk for t in graph.transitions
-                         if t.src == st.buffer and t.chunk is not None)
+            chunks = set(t.chunk for t in leaving if t.chunk is not None)
             if len(chunks) != 9:
                 report.violations.append(
                     f"input state {_buffer_to_text(st.buffer)} has "
                     f"{len(chunks)} distinct chunk successors, expected 9")
         else:
-            outs = [t for t in graph.transitions
-                    if t.src == st.buffer and t.output is not None]
+            outs = [t for t in leaving if t.output is not None]
             if len(outs) != 1:
                 report.violations.append(
                     f"output state {_buffer_to_text(st.buffer)} has "
@@ -502,34 +508,37 @@ def _longest_walks(n: int, edges: list, num: int,
     Returns the edge indices of a cycle of positive value, or None
     together with the converged walk values dist, which then satisfy
     value(e) + dist[u] - dist[v] <= 0 on every edge u -> v.
+
+    Every cycle among the predecessor edges has positive value
+    (Cherkassky and Goldberg, "Negative-cycle detection algorithms",
+    1999), so the predecessors of the last improved node are followed
+    after each round and the first cycle met is returned.  Round n finds
+    one at the latest: a node improved in round k has an unbroken chain
+    of k predecessors.
     """
+    values = [(u, v, 2 * o * den - num * (i0 + i1))
+              for u, v, i0, i1, o in edges]
     dist = [0] * n
-    pred: list[int | None] = [None] * n
-    last_improved = -1
-    for round_ in range(n):
+    pred = [-1] * n
+    while True:
         last_improved = -1
-        for ei, (u, v, i0, i1, o) in enumerate(edges):
-            val = 2 * o * den - num * (i0 + i1)
+        for ei, (u, v, val) in enumerate(values):
             if dist[u] + val > dist[v]:
                 dist[v] = dist[u] + val
                 pred[v] = ei
                 last_improved = v
         if last_improved == -1:
             return None, dist
-    # walk back n steps to land inside a positive cycle
-    v = last_improved
-    for _ in range(n):
-        v = edges[pred[v]][0]
-    cycle = []
-    start = v
-    while True:
-        ei = pred[v]
-        cycle.append(ei)
-        v = edges[ei][0]
-        if v == start:
-            break
-    cycle.reverse()
-    return cycle, dist
+        # walk back from last_improved; chain[depth[x]] is the edge into x
+        depth: dict[int, int] = {}
+        chain = []
+        v = last_improved
+        while v not in depth and pred[v] != -1:
+            depth[v] = len(chain)
+            chain.append(pred[v])
+            v = values[pred[v]][0]
+        if v in depth:
+            return chain[depth[v]:][::-1], dist
 
 
 def _cycle_ratio(graph: TransducerGraph, weights: Weight,
@@ -740,7 +749,6 @@ def transduce(graph: TransducerGraph, pair: Buffer) -> TransduceResult:
 
     answer = free_reduce("".join(parts))
     out0, out1 = psi(answer)
-    from .elements import words_equal
     if not (words_equal(out0, w0) and words_equal(out1, w1)):
         raise TransduceError("not in the section image: run check failed")
     return TransduceResult(answer, used_special, pos)

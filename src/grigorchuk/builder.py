@@ -127,11 +127,9 @@ def build(params: BuildParams, log: list[str] | None = None) -> TransducerGraph:
     delta = params.delta
 
     queue: deque[Buffer] = deque()
-
-    def redirect_outputs(old: Buffer, new: Buffer) -> None:
-        for t in graph.transitions:
-            if t.dst == old and t.output is not None:
-                t.dst = new
+    # the output transitions aimed at each queued buffer, so a buffer
+    # folded onto its swapped twin can hand them over
+    waiting: dict[Buffer, list[Transition]] = {}
 
     eta_prime = params.eta_prime
     # each order's score is non-decreasing in (q, margin)
@@ -202,7 +200,7 @@ def build(params: BuildParams, log: list[str] | None = None) -> TransducerGraph:
     chunk_targets: set[Buffer] = set()
     for chunk in CHUNK_PAIRS:
         succ = (forms.minimal_form(chunk[0]), forms.minimal_form(chunk[1]))
-        graph.transitions.append(Transition(("", ""), succ, chunk=chunk))
+        graph.add_transition(Transition(("", ""), succ, chunk=chunk))
         chunk_targets.add(succ)
         queue.append(succ)
 
@@ -212,7 +210,8 @@ def build(params: BuildParams, log: list[str] | None = None) -> TransducerGraph:
             continue
         twin = (buf[1], buf[0])
         if twin in graph.states and buf not in chunk_targets:
-            redirect_outputs(buf, twin)
+            for t in waiting.pop(buf, ()):
+                t.dst = twin
             continue
         if len(graph.states) >= params.budget:
             raise RuntimeError("budget exceeded")
@@ -221,8 +220,10 @@ def build(params: BuildParams, log: list[str] | None = None) -> TransducerGraph:
             cand, succ, q = choice
             graph.add_state(buf, "output")
             dst = succ if succ in chunk_targets else (graph.resolve(succ) or succ)
-            graph.transitions.append(Transition(buf, dst, output=cand.word))
+            out = Transition(buf, dst, output=cand.word)
+            graph.add_transition(out)
             if dst == succ:
+                waiting.setdefault(succ, []).append(out)
                 queue.append(succ)
             if log is not None:
                 log.append(f"output {buf} emits {cand.word} (q={q:.3f})")
@@ -231,7 +232,7 @@ def build(params: BuildParams, log: list[str] | None = None) -> TransducerGraph:
             for chunk in CHUNK_PAIRS:
                 succ = (forms.minimal_form(buf[0] + chunk[0]),
                         forms.minimal_form(buf[1] + chunk[1]))
-                graph.transitions.append(Transition(buf, succ, chunk=chunk))
+                graph.add_transition(Transition(buf, succ, chunk=chunk))
                 chunk_targets.add(succ)
                 queue.append(succ)
             if log is not None:
@@ -262,9 +263,9 @@ def build(params: BuildParams, log: list[str] | None = None) -> TransducerGraph:
                     continue
             else:
                 graph.add_state(mid, "output")
-                graph.transitions.append(
+                graph.add_transition(
                     Transition(mid, ("", ""), output=label, special=True))
-            graph.transitions.append(
+            graph.add_transition(
                 Transition(st.buffer, mid, pad=u, special=True))
             attached += 1
     if log is not None:

@@ -9,10 +9,14 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grigorchuk import (
+    BuildParams,
     GraphFormatError,
     TransduceError,
+    build,
     first_loop_ratio,
     max_cycle_ratio,
     parse_graph,
@@ -23,8 +27,9 @@ from grigorchuk import (
     verify_graph,
     words_equal,
 )
-from grigorchuk.automaton import _cycle_ratio, path_excess_constant
-from grigorchuk.minforms import SCALE, UNIT_WEIGHTS, word_weight
+from grigorchuk.automaton import (Transition, TransducerGraph, _cycle_ratio,
+                                  path_excess_constant)
+from grigorchuk.minforms import SCALE, UNIT_WEIGHTS, parse_weights, word_weight
 from grigorchuk.words import in_H
 
 # A structurally valid machine used for exact-ratio checks.  Its outputs are
@@ -64,6 +69,73 @@ SHARED_MID = HEADER + "state (-,b) output\n" + SILENT_LOOPS + """\
 edge (-,b) out d -> (-,-)
 special (-,-) pad (_,b) out d -> (-,-)
 """
+
+
+# The fixture's witness cycle at its own weights, as (source, label) steps
+# from one rotation: in0 18.85, in1 12.57, out 66.51, ratio 6651/1571.
+FIXTURE_WITNESS = [
+    (("adaba", "da"), "c"),
+    (("daba", "a"), "acacadac"),
+    (("", ""), ("da", "da")),
+    (("da", "da"), ("ba", "ba")),
+    (("daba", "daba"), "acacabacacabaca"),
+    (("ad", ""), ("ca", "da")),
+    (("aba", "da"), "caba"),
+    (("da", ""), ("ba", "da")),
+    (("daba", "da"), "acacadac"),
+    (("ada", ""), ("ba", "da")),
+]
+
+# Up to six nodes and twelve edges (u, v, in0, in1, out) with small integer
+# weights; self-loops, parallel edges and silent edges all occur.
+SMALL_WEIGHTED_GRAPHS = st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                       st.integers(0, 4), st.integers(0, 4),
+                       st.integers(0, 6)), max_size=12)))
+
+
+def load_make_fixture():
+    path = (pathlib.Path(__file__).resolve().parent.parent
+            / "tools" / "make_fixture.py")
+    spec = importlib.util.spec_from_file_location("make_fixture", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def weighted_graph(n, edges):
+    """A graph whose edge i consumes and emits runs of a of the given
+    lengths; the cycle-ratio engine sees only those weights."""
+    graph = TransducerGraph(UNIT_WEIGHTS)
+    nodes = [("a" * i, "") for i in range(n)]
+    for b in nodes:
+        graph.add_state(b, "input", initial=not b[0])
+    for u, v, i0, i1, out in edges:
+        graph.add_transition(Transition(nodes[u], nodes[v],
+                                        chunk=("a" * i0, "a" * i1),
+                                        output="a" * out))
+    return graph
+
+
+def simple_cycles(n, edges):
+    """(in0+in1, out) of every simple cycle, each found once from its
+    least node."""
+    found = []
+
+    def extend(start, v, visited, consumed, emitted):
+        for u, w, i0, i1, out in edges:
+            if u != v:
+                continue
+            if w == start:
+                found.append((consumed + i0 + i1, emitted + out))
+            elif w > start and w not in visited:
+                extend(start, w, visited | {w}, consumed + i0 + i1,
+                       emitted + out)
+
+    for s in range(n):
+        extend(s, s, {s}, 0, 0)
+    return found
 
 
 def replay_certificate(graph):
@@ -108,11 +180,7 @@ class TestParsing:
     def test_fixture_regenerates(self, fixture_text):
         # the generator respells every label through minimal forms, so the
         # bundled file pins the canonical spellings as well as the table
-        path = (pathlib.Path(__file__).resolve().parent.parent
-                / "tools" / "make_fixture.py")
-        spec = importlib.util.spec_from_file_location("make_fixture", path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
+        module = load_make_fixture()
         assert serialize_graph(module.build_fixture()[0]) == fixture_text
 
     def test_toy_round_trip_stable(self):
@@ -171,6 +239,28 @@ class TestParsing:
         assert serialize_graph(graph) == SHARED_MID
         # the silent loops land on the wrong buffers; (-,b) itself is sound
         assert not any("(-,b)" in v for v in verify_graph(graph).violations)
+
+    def test_queries_match_scan(self, fixture_graph):
+        valley = parse_weights("a=1 b=2.7 c=2.0 d=1.3")
+        graphs = [fixture_graph,
+                  build(BuildParams(initial_weight=valley, max_len=12)),
+                  load_make_fixture().build_fixture()[0]]
+        for graph in graphs:
+            for buffer in graph.states:
+                leaving = [t for t in graph.transitions if t.src == buffer]
+                chunks = {t.chunk: t for t in leaving
+                          if t.chunk is not None and not t.special}
+                outs = [t for t in leaving if t.output is not None]
+                pads = {t.pad: t for t in leaving
+                        if t.special and t.pad is not None}
+                got = graph.input_transitions(buffer)
+                assert got.keys() == chunks.keys()
+                assert all(got[k] is chunks[k] for k in chunks)
+                assert graph.output_transition(buffer) is \
+                    (outs[0] if outs else None)
+                got = graph.special_transitions(buffer)
+                assert got.keys() == pads.keys()
+                assert all(got[k] is pads[k] for k in pads)
 
     def test_special_conflicting_output(self):
         text = SHARED_MID.replace("pad (_,b) out d", "pad (_,b) out ada")
@@ -256,6 +346,31 @@ class TestCycleRatio:
     def test_certificate_fixture(self, fixture_graph):
         # 6651/1571 = 4.233609166...
         assert replay_certificate(fixture_graph) == Fraction(6651, 1571)
+
+    def test_fixture_witness(self, fixture_graph):
+        _, witness = max_cycle_ratio(fixture_graph)
+        steps = [(t.src, t.chunk or t.output) for t in witness.cycle]
+        assert any(steps[i:] + steps[:i] == FIXTURE_WITNESS
+                   for i in range(len(steps)))
+        assert (witness.in_weight0, witness.in_weight1,
+                witness.out_weight) == pytest.approx((18.85, 12.57, 66.51))
+
+    @settings(max_examples=300, deadline=None)
+    @given(SMALL_WEIGHTED_GRAPHS)
+    def test_eta_matches_brute_force(self, spec):
+        graph = weighted_graph(*spec)
+        cycles = simple_cycles(*spec)
+        if any(consumed == 0 and emitted > 0 for consumed, emitted in cycles):
+            with pytest.raises(TransduceError, match="unbounded"):
+                max_cycle_ratio(graph)
+        elif not any(emitted > 0 for _, emitted in cycles):
+            with pytest.raises(TransduceError,
+                               match="no cycle with positive consumed weight"):
+                max_cycle_ratio(graph)
+        else:
+            assert replay_certificate(graph) == max(
+                Fraction(2 * emitted, consumed)
+                for consumed, emitted in cycles if consumed)
 
 
 class TestTransduce:

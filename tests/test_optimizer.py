@@ -1,6 +1,8 @@
 """Tests for the weight optimizer: schedule checks, trace discipline, and
 the certified floor that it reaches on the bundled machine."""
 
+import hashlib
+
 import pytest
 
 from grigorchuk import (
@@ -10,7 +12,8 @@ from grigorchuk import (
     parse_graph,
     trace_csv,
 )
-from grigorchuk.minforms import SCALE, TUNED_WEIGHTS, is_triangular
+from grigorchuk.minforms import (SCALE, TUNED_WEIGHTS, UNIT_WEIGHTS,
+                                 is_triangular)
 
 # The lowest maximum cycle ratio over all triangular weights on the
 # bundled machine (test_acceptance.py replays its certificate), and the
@@ -89,6 +92,19 @@ class TestFixtureDescent:
         assert eta < start
         assert is_triangular(weights)
         assert weights["a"] == SCALE
+
+    # sha256 of the whole trace: every witness the engine returns becomes a
+    # cut, so a different witness at any step feeds the finish other cuts
+    @pytest.mark.parametrize("initial, digest", [
+        (UNIT_WEIGHTS,
+         "bbfb1ea047126291ee0c48b4a2b2bd046dddc461413b4ac41bc4690b87f501ba"),
+        (TUNED_WEIGHTS,
+         "ff211d08e8402df01bd6ede98d23931abe83b536cad9e69ed120402f83b88977"),
+    ], ids=["unit", "bundled"])
+    def test_trace_pinned(self, fixture_graph, initial, digest):
+        _, _, trace = optimize_weights(fixture_graph, initial=dict(initial))
+        text = trace_csv(trace)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_seed_replays_identically(self, fixture_graph):
         schedule = OptimizerSchedule(step_sizes=(0.1, 0.05), seed=7)

@@ -180,7 +180,7 @@ def build_fixture() -> tuple[TransducerGraph, dict[str, int]]:
                         final=(st == ("", "")))
 
     stats = {"repaired": 0, "respelled": 0, "swapped": 0}
-    out_edges: dict[tuple[str, str], tuple[str, tuple[str, str]]] = {}
+    out_edges: dict[tuple[str, str], Transition] = {}
     for state, rows in TABLE:
         for idx, (buffer, kind, label, succ) in enumerate(rows):
             x, y = CHUNKS[idx]
@@ -189,8 +189,7 @@ def build_fixture() -> tuple[TransducerGraph, dict[str, int]]:
                       forms.minimal_form(state[1] + chunk[1]))
             if kind == "IN":
                 assert succ in (expect, (expect[1], expect[0])), (state, chunk)
-                graph.transitions.append(
-                    Transition(state, succ, chunk=chunk))
+                graph.add_transition(Transition(state, succ, chunk=chunk))
                 continue
             assert buffer == expect, (state, chunk, buffer, expect)
             # forced label element for each admissible successor orientation
@@ -219,25 +218,21 @@ def build_fixture() -> tuple[TransducerGraph, dict[str, int]]:
             if buffer not in graph.states:
                 graph.add_state(buffer, "output")
             prior = out_edges.get(buffer)
-            if prior is not None and prior != (word, succ):
+            if prior is None:
+                out_edges[buffer] = Transition(buffer, succ, output=word)
+                graph.add_transition(out_edges[buffer])
+            else:
                 # keep the later table row, matching the reference sheet
-                graph.transitions = [
-                    t for t in graph.transitions
-                    if not (t.src == buffer and t.output is not None)]
-            if prior != (word, succ):
-                out_edges[buffer] = (word, succ)
-                graph.transitions.append(
-                    Transition(buffer, succ, output=word))
-            graph.transitions.append(Transition(state, buffer, chunk=chunk))
+                prior.output, prior.dst = word, succ
+            graph.add_transition(Transition(state, buffer, chunk=chunk))
 
     specials = [u for u in forms.enumerate_forms(8, in_B) if u]
     for u in specials:
         label = forms.minimal_form(sigma(u))
         mid = ("", u)
         graph.add_state(mid, "output")
-        graph.transitions.append(
-            Transition(("", ""), mid, pad=u, special=True))
-        graph.transitions.append(
+        graph.add_transition(Transition(("", ""), mid, pad=u, special=True))
+        graph.add_transition(
             Transition(mid, ("", ""), output=label, special=True))
     stats["specials"] = len(specials)
     return graph, stats
