@@ -19,7 +19,7 @@ from .automaton import (CycleReport, GraphFormatError, TransducerGraph,
                         max_cycle_ratio, parse_graph, path_excess_constant,
                         preimage_constant, serialize_graph, transduce,
                         verify_graph)
-from .builder import BuildParams, build, quality
+from .builder import BuildParams, build
 from .optimizer import (OptimizerSchedule, TraceRow, optimize_weights,
                         trace_csv)
 
@@ -35,7 +35,7 @@ __all__ = [
     "VerificationReport", "first_loop_ratio", "max_cycle_ratio",
     "parse_graph", "path_excess_constant", "preimage_constant",
     "serialize_graph", "transduce", "verify_graph",
-    "BuildParams", "build", "quality",
+    "BuildParams", "build",
     "OptimizerSchedule", "TraceRow", "optimize_weights", "trace_csv",
 ]
 

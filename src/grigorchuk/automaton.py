@@ -30,14 +30,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
 
 from .elements import element_of, words_equal
 from .minforms import (MinimalForms, SCALE, Weight, format_scaled,
                        parse_weights, word_weight)
 from .words import (check_word, free_reduce, in_B, in_H,
-                    pair_in_section_image, psi, psi_preimage_basic, rev,
-                    sigma)
+                    pair_in_section_image, psi, psi_preimage_basic, rev)
 
 Buffer = tuple[str, str]
 
@@ -253,7 +251,7 @@ def parse_graph(text: str) -> TransducerGraph:
                 raise GraphFormatError(
                     f"{where}: edge source {_buffer_to_text(src)} is not a "
                     f"declared output state")
-            parsed.append((where, "out", src, None, output, target))
+            parsed.append((where, "out", src, None, output, target, None))
         elif tokens[0] == "edge":
             if len(head) < 4 or head[2] != "in":
                 raise GraphFormatError(f"{where}: malformed edge line")
@@ -273,7 +271,7 @@ def parse_graph(text: str) -> TransducerGraph:
                 raise GraphFormatError(
                     f"{where}: edge source {_buffer_to_text(src)} is not a "
                     f"declared input state")
-            parsed.append((where, "edge", src, chunk, output, target))
+            mid = None
             if output is not None:
                 # implicit output vertices are keyed by their exact buffer;
                 # a swapped pair is a different vertex with its own label
@@ -281,6 +279,7 @@ def parse_graph(text: str) -> TransducerGraph:
                        graph.forms.minimal_form(src[1] + chunk[1]))
                 if mid not in graph.states:
                     graph.add_state(mid, "output")
+            parsed.append((where, "edge", src, chunk, output, target, mid))
         else:
             if len(head) != 6 or head[2] != "pad" or head[4] != "out":
                 raise GraphFormatError(f"{where}: malformed special line")
@@ -298,10 +297,11 @@ def parse_graph(text: str) -> TransducerGraph:
             if src not in graph.states or graph.states[src].kind != "input":
                 raise GraphFormatError(
                     f"{where}: special source is not a declared input state")
-            parsed.append((where, "special", src, consumed, output, target))
             mid = (src[0], graph.forms.minimal_form(src[1] + consumed))
             if mid not in graph.states:
                 graph.add_state(mid, "output")
+            parsed.append((where, "special", src, consumed, output, target,
+                           mid))
 
     # Second pass: resolve successors and lay down transitions.  Each
     # output state gets one output transition; a line that repeats it (a
@@ -320,7 +320,7 @@ def parse_graph(text: str) -> TransducerGraph:
                 f"{where}: duplicate state {_buffer_to_text(state)} with "
                 f"conflicting output transitions")
 
-    for where, kind, src, label, output, target in parsed:
+    for where, kind, src, label, output, target, mid in parsed:
         resolved = graph.resolve(target)
         if resolved is None:
             raise GraphFormatError(
@@ -331,12 +331,9 @@ def parse_graph(text: str) -> TransducerGraph:
             if output is None:
                 graph.add_transition(Transition(src, resolved, chunk=label))
                 continue
-            mid = (graph.forms.minimal_form(src[0] + label[0]),
-                   graph.forms.minimal_form(src[1] + label[1]))
             graph.add_transition(Transition(src, mid, chunk=label))
             add_output(where, mid, output, resolved)
         else:
-            mid = (src[0], graph.forms.minimal_form(src[1] + label))
             graph.add_transition(
                 Transition(src, mid, pad=label, special=True))
             add_output(where, mid, output, resolved, special=True)
@@ -683,6 +680,14 @@ def transduce(graph: TransducerGraph, pair: Buffer) -> TransduceResult:
     def emit(word: str) -> None:
         parts.append("a" + word + "a" if mirror else word)
 
+    def orient(nxt: State, after: str) -> int:
+        # the mirror bit under which nxt's buffer is the true buffer
+        if nxt.buffer == (true0, true1):
+            return 0
+        if nxt.buffer == (true1, true0):
+            return 1
+        raise TransduceError(f"stuck: successor buffer mismatch after {after}")
+
     while True:
         if state.kind == "output":
             t = graph.output_transition(state.buffer)
@@ -696,15 +701,8 @@ def transduce(graph: TransducerGraph, pair: Buffer) -> TransduceResult:
                 v0, v1 = v1, v0
             true0 = graph.forms.minimal_form(rev(v0) + true0)
             true1 = graph.forms.minimal_form(rev(v1) + true1)
-            nxt = graph.states[t.dst]
-            if nxt.buffer == (true0, true1):
-                mirror = 0
-            elif nxt.buffer == (true1, true0):
-                mirror = 1
-            else:
-                raise TransduceError(
-                    f"stuck: successor buffer mismatch after {t.output!r}")
-            state = nxt
+            state = graph.states[t.dst]
+            mirror = orient(state, repr(t.output))
             continue
         if pos >= len(chunks0):
             break
@@ -717,15 +715,8 @@ def transduce(graph: TransducerGraph, pair: Buffer) -> TransduceResult:
                 f"stuck: no chunk edge {key} at {_buffer_to_text(state.buffer)}")
         true0 = graph.forms.minimal_form(true0 + c0)
         true1 = graph.forms.minimal_form(true1 + c1)
-        nxt = graph.states[t.dst]
-        if nxt.buffer == (true0, true1):
-            mirror = 0
-        elif nxt.buffer == (true1, true0):
-            mirror = 1
-        else:
-            raise TransduceError(
-                f"stuck: successor buffer mismatch after chunk {key}")
-        state = nxt
+        state = graph.states[t.dst]
+        mirror = orient(state, f"chunk {key}")
 
     rest = "".join(chunks1[pos:])
     residue0 = true0

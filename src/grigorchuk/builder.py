@@ -34,18 +34,6 @@ class BuildParams:
     max_len: int = 20
     special_len: int = 8
     budget: int = 5000
-    # optional ceiling on candidate output weight; a generous ceiling only
-    # prunes enumeration work, but a tight one can change which candidate
-    # wins, so it is part of the deterministic parameter set
-    candidate_weight: int | None = None
-    # which quality-passing candidate an output state emits:
-    #   "quality"   the highest quality score wins;
-    #   "margin"    the largest contraction surplus over 2*weight(v)/etaPrime
-    #               wins, favouring emissions that keep cycles at or below
-    #               etaPrime wherever the candidate pool allows it
-    #   "contract"  candidates covering the 2*weight(v)/etaPrime surplus
-    #               beat those that do not; quality ranks within each class
-    candidate_order: str = "quality"
 
     def validate(self) -> None:
         check_weights(self.initial_weight)
@@ -57,36 +45,16 @@ class BuildParams:
             raise ValueError("max_len must be at least 4")
         if not is_triangular(self.initial_weight):
             raise ValueError("initial weight must be triangular")
-        if self.candidate_order not in ("quality", "margin", "contract"):
-            raise ValueError(
-                "candidate_order must be 'quality', 'margin' or 'contract'")
 
 
 def _score(in0: int, in1: int, out0: int, out1: int, v_weight: int,
            delta: float) -> float:
-    """Quality from scaled weights: the buffer (in0, in1) shrinks to
-    (out0, out1) by emitting a word of weight v_weight."""
+    """Quality of an emission, from scaled weights: the buffer (in0, in1)
+    shrinks to (out0, out1) by emitting a word of weight v_weight.  The
+    score is the weight shed per unit of output, plus a small bonus for
+    leaving a better-balanced buffer behind."""
     return (in0 + in1 - out0 - out1) / v_weight \
         + delta * (abs(in0 - in1) - abs(out0 - out1)) / SCALE
-
-
-def quality(u: Buffer, v: str, weights: Weight, delta: float,
-            forms: MinimalForms | None = None) -> float:
-    """Score of emitting v at buffer u: weight shed per output cost, plus
-    a small bonus for leaving a better-balanced buffer behind."""
-    if not v:
-        raise ValueError("quality of an empty output word is undefined")
-    if not in_H(v):
-        raise ValueError(f"output word {v!r} has odd a-parity")
-    forms = forms or MinimalForms(weights)
-    v0, v1 = psi(v)
-    # the remaining buffer is what v's sections leave of the consumed
-    # input, so v cancels from the left inverted
-    s0 = forms.minimal_form(rev(v0) + u[0])
-    s1 = forms.minimal_form(rev(v1) + u[1])
-    return _score(word_weight(u[0], weights), word_weight(u[1], weights),
-                  word_weight(s0, weights), word_weight(s1, weights),
-                  word_weight(v, weights), delta)
 
 
 @dataclass
@@ -97,10 +65,9 @@ class _Candidate:
     right: object
 
 
-def _candidates(forms: MinimalForms, max_len: int,
-                max_weight: int | None) -> list[_Candidate]:
+def _candidates(forms: MinimalForms, max_len: int) -> list[_Candidate]:
     out = []
-    for v in forms.enumerate_forms(max_len, in_H, max_weight=max_weight):
+    for v in forms.enumerate_forms(max_len, in_H):
         if not v:
             continue
         v0, v1 = psi(v)
@@ -120,7 +87,7 @@ def build(params: BuildParams, log: list[str] | None = None) -> TransducerGraph:
     graph = TransducerGraph(params.initial_weight)
     forms = graph.forms
     weights = graph.weights
-    candidates = _candidates(forms, params.max_len, params.candidate_weight)
+    candidates = _candidates(forms, params.max_len)
     if log is not None:
         log.append(f"candidate outputs: {len(candidates)}")
     threshold = 1.0 / params.eta_prime
@@ -131,30 +98,24 @@ def build(params: BuildParams, log: list[str] | None = None) -> TransducerGraph:
     # folded onto its swapped twin can hand them over
     waiting: dict[Buffer, list[Transition]] = {}
 
-    eta_prime = params.eta_prime
-    # each order's score is non-decreasing in (q, margin)
-    rank = {"quality": lambda q, margin: q,
-            "margin": lambda q, margin: margin,
-            "contract": lambda q, margin: (margin >= 0) * 1e9 + q,
-            }[params.candidate_order]
     form_weight = forms.form_weight
     scanned = 0
 
     def best_output(buf: Buffer) -> tuple[_Candidate, Buffer, float] | None:
         # Only candidates scoring at least 1/eta_prime may be emitted;
-        # among those the best-ranked one wins, first found on ties, so
+        # among those the highest quality wins, first found on ties, so
         # rebuilds from equal parameters are byte-identical.  A remainder
         # counts only if it is settled.  The first candidate scanned
         # settles the forms up to the buffer's weight plus one, so a scan
         # cut off at once settles nothing.
         #
         # Candidates come weight-sorted and remainder weights are >= 0, so
-        # a candidate of weight W has q <= total/W + delta*bal/SCALE and
-        # margin <= total - 2W/eta_prime, and both bounds fall as W grows.
-        # Once rank(bounds) <= best_score + 1e-12, no later candidate can
-        # pass the strict "> best_score + 1e-12" test, so the scan stops
-        # with the same winner.  The float bounds are safe: the numerators
-        # are exact integers, and IEEE division and addition are monotone.
+        # a candidate of weight W has q <= total/W + delta*bal/SCALE, and
+        # that bound falls as W grows.  Once it is <= best_q + 1e-12, no
+        # later candidate can pass the strict "> best_q + 1e-12" test, so
+        # the scan stops with the same winner.  The float bound is safe:
+        # the numerator is an exact integer, and IEEE division and
+        # addition are monotone.
         nonlocal scanned
         e0, e1 = element_of(buf[0]), element_of(buf[1])
         w0 = word_weight(buf[0], weights)
@@ -163,13 +124,12 @@ def build(params: BuildParams, log: list[str] | None = None) -> TransducerGraph:
         bonus = delta * bal / SCALE
         slack = threshold - bonus
         best = None
-        best_score = float("-inf")
+        best_q = float("-inf")
         for i, cand in enumerate(candidates):
             if slack > 0 and cand.weight * slack > total:
                 break  # no later candidate can reach the threshold
-            if best is not None and rank(
-                    total / cand.weight + bonus,
-                    total - 2 * cand.weight / eta_prime) <= best_score + 1e-12:
+            if best is not None and \
+                    total / cand.weight + bonus <= best_q + 1e-12:
                 break  # no later candidate can beat the best found
             if i == 0:
                 forms.extend(total + SCALE)
@@ -184,10 +144,9 @@ def build(params: BuildParams, log: list[str] | None = None) -> TransducerGraph:
             q = _score(w0, w1, o0, o1, cand.weight, delta)
             if q < threshold - 1e-12:
                 continue
-            score = rank(q, (total - o0 - o1) - 2 * cand.weight / eta_prime)
-            if score > best_score + 1e-12:
+            if q > best_q + 1e-12:
                 best = (cand, (forms.table[id(r0)], forms.table[id(r1)]), q)
-                best_score = score
+                best_q = q
         else:
             i = len(candidates)  # no cut fired: all were scanned
         scanned += i

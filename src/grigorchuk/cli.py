@@ -22,7 +22,8 @@ from .growth import (BoundParams, alpha_of_eta, check_subgroup_growth,
                      gamma_table, lower_bound_log_gamma)
 from .minforms import (MinimalForms, SCALE, TUNED_WEIGHTS, UNIT_WEIGHTS,
                        Weight, format_scaled, parse_weights)
-from .optimizer import OptimizerSchedule, optimize_weights, trace_csv
+from .optimizer import (DEFAULT_STEPS, OptimizerSchedule, optimize_weights,
+                         trace_csv)
 from .words import (act, check_word, free_reduce, in_H, psi,
                     psi_preimage_basic)
 
@@ -235,9 +236,6 @@ def _cmd_build(args) -> int:
         max_len=args.max_len,
         special_len=args.special_len,
         budget=args.budget,
-        candidate_weight=(None if args.candidate_weight is None
-                          else round(args.candidate_weight * SCALE)),
-        candidate_order=args.candidate_order,
     )
     log: list[str] = []
     graph = build(params, log)
@@ -250,14 +248,10 @@ def _cmd_build(args) -> int:
 def _cmd_optimize(args) -> int:
     graph = _load_graph(args.graph)
     initial = _load_weights(args.weights) if args.weights else None
-    if args.schedule == "default":
-        steps = None
-    else:
-        steps = tuple(float(s) for s in args.schedule.split(","))
-    schedule = OptimizerSchedule(max_iterations=args.max_iterations,
-                                 seed=args.seed)
-    if steps is not None:
-        schedule.step_sizes = steps
+    steps = (DEFAULT_STEPS if args.schedule == "default"
+             else tuple(float(s) for s in args.schedule.split(",")))
+    schedule = OptimizerSchedule(step_sizes=steps,
+                                 max_iterations=args.max_iterations)
     weights, eta, trace = optimize_weights(graph, initial, schedule)
     Path(args.out).write_text(_weights_line(weights) + "\n")
     sys.stdout.write(trace_csv(trace))
@@ -360,10 +354,6 @@ def _parser() -> argparse.ArgumentParser:
     q.add_argument("--max-len", type=int, default=20)
     q.add_argument("--special-len", type=int, default=8)
     q.add_argument("--budget", type=int, default=5000)
-    q.add_argument("--candidate-weight", type=float,
-                   help="optional candidate weight ceiling in units")
-    q.add_argument("--candidate-order", default="quality",
-                   choices=["quality", "margin", "contract"])
     q.add_argument("--out", required=True)
     q.set_defaults(fn=_cmd_build)
 
@@ -375,7 +365,6 @@ def _parser() -> argparse.ArgumentParser:
     q.add_argument("--schedule", default="default",
                    help='"default" or comma-separated step sizes')
     q.add_argument("--max-iterations", type=int, default=2000)
-    q.add_argument("--seed", type=int)
     q.add_argument("--out", required=True)
     q.set_defaults(fn=_cmd_optimize)
 

@@ -181,22 +181,19 @@ class MinimalForms:
         return word_weight(word, self.weights) == self.element_weight(word)
 
     def enumerate_forms(self, max_len: int,
-                        predicate: Callable[[str], bool] | None = None,
-                        max_weight: int | None = None) -> list[str]:
+                        predicate: Callable[[str], bool] | None = None
+                        ) -> list[str]:
         """All canonical forms of length <= max_len satisfying the predicate.
 
         Canonical forms alternate the letter a with letters from {b, c, d},
         so a form of <= max_len letters weighs at most ceil(max_len/2) heavy
         letters plus floor(max_len/2) copies of a; settling that radius is
-        sufficient.  max_weight restricts the enumeration to a smaller
-        radius when the caller only needs light forms.  Forms settle in
+        sufficient.  Forms settle in
         priority order (weight, length, letter order), so the result is
         in that order too.
         """
         heavy = max(self.weights[x] for x in "bcd")
         radius = (max_len + 1) // 2 * heavy + max_len // 2 * self.weights["a"]
-        if max_weight is not None:
-            radius = min(radius, max_weight)
         self.extend(radius)
         form_weight = self.form_weight
         return [w for k, w in self.table.items()

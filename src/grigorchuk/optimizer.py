@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from random import Random
+from itertools import product
 
 from .automaton import CycleReport, TransducerGraph, max_cycle_ratio
 from .minforms import SCALE, Weight, check_weights, format_scaled, is_triangular
@@ -66,7 +66,6 @@ Cut = tuple[tuple[int, ...], tuple[int, ...]]
 class OptimizerSchedule:
     step_sizes: tuple[float, ...] = DEFAULT_STEPS
     max_iterations: int = 2000
-    seed: int | None = None
 
     def validate(self) -> None:
         if not self.step_sizes:
@@ -223,8 +222,7 @@ def optimize_weights(
     counts against ``max_iterations``.  The kept-ratio subsequence is
     strictly decreasing, every kept weight is triangular, the returned
     ratio is ``max_cycle_ratio`` at the returned weight, and identical
-    inputs replay identically (a seeded schedule shuffles proposal order
-    but stays deterministic).
+    inputs replay identically.
     """
     schedule = schedule or OptimizerSchedule()
     schedule.validate()
@@ -232,7 +230,6 @@ def optimize_weights(
     check_weights(weights)
     if not is_triangular(weights):
         raise ValueError("initial weight must be triangular")
-    rng = Random(schedule.seed) if schedule.seed is not None else None
 
     best, witness = max_cycle_ratio(graph, weights)
     cuts = [_cut(witness)]
@@ -252,11 +249,7 @@ def optimize_weights(
         improved = True
         while improved and iteration < schedule.max_iterations:
             improved = False
-            proposals = [(coord, sign)
-                         for coord in COORDINATES for sign in (+1, -1)]
-            if rng is not None:
-                rng.shuffle(proposals)
-            for coord, sign in proposals:
+            for coord, sign in product(COORDINATES, (+1, -1)):
                 if iteration >= schedule.max_iterations:
                     break
                 trial = dict(weights)

@@ -394,6 +394,23 @@ class TestTransduce:
         with pytest.raises(TransduceError):
             transduce(fixture_graph, ("da", "ca"))
 
+    def test_successor_mismatch_names_the_step(self, fixture_text):
+        # (dada,dada) runs (-,-) -> (da,da) -> (adad,adad) --acacacac--> (-,-);
+        # a successor holding neither orientation of the true buffer stops
+        # the run and names the chunk or output that led to it
+        graph = parse_graph(fixture_text)
+        graph.input_transitions(("", ""))[("da", "da")].dst = ("ca", "ca")
+        with pytest.raises(TransduceError) as chunk_err:
+            transduce(graph, ("dada", "dada"))
+        assert str(chunk_err.value) == \
+            "stuck: successor buffer mismatch after chunk ('da', 'da')"
+        graph = parse_graph(fixture_text)
+        graph.output_transition(("adad", "adad")).dst = ("da", "da")
+        with pytest.raises(TransduceError) as output_err:
+            transduce(graph, ("dada", "dada"))
+        assert str(output_err.value) == \
+            "stuck: successor buffer mismatch after 'acacacac'"
+
     def test_exhaustive_small_consistency(self, fixture_graph):
         for length in range(7):
             for letters in product("abcd", repeat=length):

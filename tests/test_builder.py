@@ -10,13 +10,11 @@ from grigorchuk import (
     build,
     max_cycle_ratio,
     parse_graph,
-    quality,
     serialize_graph,
     verify_graph,
 )
-from grigorchuk.builder import _candidates
-from grigorchuk.minforms import (TUNED_WEIGHTS, UNIT_WEIGHTS, MinimalForms,
-                                 parse_weights)
+from grigorchuk.builder import _candidates, _score
+from grigorchuk.minforms import UNIT_WEIGHTS, MinimalForms, parse_weights
 
 # weights under which the construction lands on its lowest measured cycle
 # ratio; several build tests share one graph because a build takes seconds
@@ -34,31 +32,22 @@ def valley_graph(valley_build):
     return valley_build[0]
 
 
-class TestQuality:
+class TestScore:
     def test_full_cancellation_score(self):
-        # emitting cacacaca at the (dada,dada) buffer clears it entirely:
-        # the score is the whole buffer weight over the output weight
-        q = quality(("dada", "dada"), "cacacaca", TUNED_WEIGHTS, delta=0.0)
+        # emitting cacacaca (weight 152000 under TUNED_WEIGHTS) at the
+        # (dada,dada) buffer (41200 a side) clears it entirely: the score
+        # is the whole buffer weight over the output weight
+        q = _score(41200, 41200, 0, 0, 152000, delta=0.0)
         assert q == pytest.approx(82400 / 152000, abs=1e-12)
 
     def test_balance_bonus(self):
-        # aca clears the (d,a) buffer; with unequal component weights the
-        # delta term adds the recovered imbalance, scaled down
-        base = quality(("d", "a"), "aca", TUNED_WEIGHTS, delta=0.0)
-        bumped = quality(("d", "a"), "aca", TUNED_WEIGHTS, delta=1.0)
+        # aca (48000) clears the (d,a) buffer (10600, 10000); with unequal
+        # component weights the delta term adds the recovered imbalance,
+        # scaled down
+        base = _score(10600, 10000, 0, 0, 48000, delta=0.0)
+        bumped = _score(10600, 10000, 0, 0, 48000, delta=1.0)
         assert base == pytest.approx(20600 / 48000, abs=1e-12)
         assert bumped - base == pytest.approx(600 / 10000, abs=1e-12)
-
-    def test_empty_buffer_never_worth_emitting(self):
-        assert quality(("", ""), "aca", dict(UNIT_WEIGHTS), delta=0.0) < 0
-
-    def test_rejects_empty_output(self):
-        with pytest.raises(ValueError, match="empty output"):
-            quality(("d", "a"), "", dict(UNIT_WEIGHTS), delta=0.0)
-
-    def test_rejects_odd_parity_output(self):
-        with pytest.raises(ValueError, match="odd a-parity"):
-            quality(("d", "a"), "bab", dict(UNIT_WEIGHTS), delta=0.0)
 
 
 class TestParams:
@@ -84,10 +73,6 @@ class TestParams:
         lopsided = {"a": 10000, "b": 10000, "c": 10000, "d": 30001}
         with pytest.raises(ValueError, match="triangular"):
             BuildParams(initial_weight=lopsided).validate()
-
-    def test_candidate_order_names(self):
-        with pytest.raises(ValueError, match="candidate_order"):
-            BuildParams(initial_weight=VALLEY, candidate_order="speed").validate()
 
 
 class TestBuild:
@@ -122,7 +107,7 @@ class TestBuild:
 
     def test_candidates_weight_sorted(self):
         # both cuts in best_output stop the scan on this order
-        weights = [c.weight for c in _candidates(MinimalForms(VALLEY), 12, None)]
+        weights = [c.weight for c in _candidates(MinimalForms(VALLEY), 12)]
         assert weights == sorted(weights)
 
     # sha256 of serialize_graph(build(...)) as a full, uncut scan gives it;
@@ -130,10 +115,6 @@ class TestBuild:
     @pytest.mark.parametrize("kwargs, digest", [
         (dict(initial_weight=VALLEY, max_len=16),
          "dfaee3ac1ea8ac5f2b6438374b2c20b3d36d711879f8ba2faf014b7b20144f06"),
-        (dict(initial_weight=VALLEY, max_len=16, candidate_order="contract"),
-         "dfaee3ac1ea8ac5f2b6438374b2c20b3d36d711879f8ba2faf014b7b20144f06"),
-        (dict(initial_weight=VALLEY, max_len=16, candidate_order="margin"),
-         "fdf958362d2efd2d1bb6c850900687aeb328c5e3dd15a367e97d56e51842abc7"),
         (dict(initial_weight=parse_weights("a=1 b=3.33 c=2.8 d=1.06"),
               max_len=14),
          "e7f330f380b1e9a571c7be22354bf5c05949bc19a554148ad8ece49dbf4737df"),
@@ -142,8 +123,7 @@ class TestBuild:
         (dict(initial_weight=parse_weights("a=1 b=2.5 c=2.2 d=1.4"),
               max_len=14, eta_prime=3.6),
          "ab680534f7dd0a2d7de2fc780f758519fbee6464eb52abc62229d8e809c5a589"),
-    ], ids=["valley-quality", "valley-contract", "valley-margin",
-            "b3.33-c2.8-d1.06", "unit", "eta-prime-3.6"])
+    ], ids=["valley-quality", "b3.33-c2.8-d1.06", "unit", "eta-prime-3.6"])
     def test_output_digest(self, kwargs, digest):
         graph = build(BuildParams(**kwargs))
         text = serialize_graph(graph)
@@ -156,17 +136,3 @@ class TestBuild:
     def test_budget_exceeded(self):
         with pytest.raises(RuntimeError, match="budget exceeded"):
             build(BuildParams(initial_weight=VALLEY, budget=50))
-
-    def test_margin_order_differs(self, valley_graph):
-        g = build(BuildParams(initial_weight=VALLEY, candidate_order="margin"))
-        assert verify_graph(g).ok
-        assert len(g.states) == 192
-        eta, _ = max_cycle_ratio(g)
-        assert eta == pytest.approx(4.423077, abs=1e-4)
-        assert serialize_graph(g) != serialize_graph(valley_graph)
-
-    def test_contract_order_matches_quality_here(self, valley_graph):
-        # at these weights no state has a candidate meeting the full
-        # contraction surplus, so the class split never changes the pick
-        g = build(BuildParams(initial_weight=VALLEY, candidate_order="contract"))
-        assert serialize_graph(g) == serialize_graph(valley_graph)

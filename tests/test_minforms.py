@@ -134,11 +134,6 @@ class TestEnumeration:
         got = unit_forms.enumerate_forms(2, lambda w: w.count("a") % 2 == 0)
         assert got == ["", "d", "c", "b"]
 
-    def test_weight_filter(self, tuned_forms):
-        light = tuned_forms.enumerate_forms(4, max_weight=3 * SCALE)
-        assert all(word_weight(w, TUNED_WEIGHTS) <= 3 * SCALE for w in light)
-        assert "a" in light and "adad" not in light
-
     def test_sorted_by_priority(self, tuned_forms):
         forms = tuned_forms.enumerate_forms(4)
         weights = [word_weight(w, TUNED_WEIGHTS) for w in forms]

@@ -106,16 +106,6 @@ class TestFixtureDescent:
         text = trace_csv(trace)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
-    def test_seed_replays_identically(self, fixture_graph):
-        schedule = OptimizerSchedule(step_sizes=(0.1, 0.05), seed=7)
-        first = optimize_weights(fixture_graph, schedule=schedule)
-        second = optimize_weights(
-            fixture_graph,
-            schedule=OptimizerSchedule(step_sizes=(0.1, 0.05), seed=7))
-        assert first[0] == second[0]
-        assert first[1] == second[1]
-        assert [r.csv() for r in first[2]] == [r.csv() for r in second[2]]
-
     def test_iteration_cap_respected(self, fixture_graph):
         schedule = OptimizerSchedule(max_iterations=5)
         _, _, trace = optimize_weights(fixture_graph, schedule=schedule)
