@@ -217,8 +217,7 @@ def parse_graph(text: str) -> TransducerGraph:
             if bad:
                 raise GraphFormatError(f"line {lineno}: unknown flag {bad[0]!r}")
             for comp in buffer:
-                if not graph.forms.is_minimal(comp) or \
-                        graph.forms.minimal_form(comp) != comp:
+                if graph.forms.minimal_form(comp) != comp:
                     raise GraphFormatError(
                         f"line {lineno}: non-minimal buffer word {comp!r}")
             graph.add_state(buffer, tokens[2], "initial" in flags,
@@ -570,6 +569,12 @@ def _cycle_ratio(graph: TransducerGraph, weights: Weight,
     return eta, report, dist
 
 
+def _walk_excess(eta: Fraction, dist: list[int]) -> float:
+    """Largest walk value of ``_cycle_ratio``'s potentials, halved, in
+    weight units."""
+    return max(dist) / (2 * eta.denominator * SCALE)
+
+
 def max_cycle_ratio(graph: TransducerGraph, weights: Weight | None = None,
                     exclude_special: bool = True) -> tuple[float, CycleReport]:
     """Largest 2*out/(in0+in1) over directed cycles, with a witness.
@@ -594,7 +599,7 @@ def path_excess_constant(graph: TransducerGraph,
     """
     eta, _, dist = _cycle_ratio(graph, weights or graph.weights,
                                 exclude_special=True)
-    return max(dist) / (2 * eta.denominator * SCALE)
+    return _walk_excess(eta, dist)
 
 
 # --- transduction -----------------------------------------------------------
@@ -652,8 +657,8 @@ def transduce(graph: TransducerGraph, pair: Buffer) -> TransduceResult:
     buffer, whose size is bounded by the graph's buffers plus eight
     letters.
     """
-    w0 = graph.forms.minimal_form(free_reduce(pair[0]))
-    w1 = graph.forms.minimal_form(free_reduce(pair[1]))
+    w0 = graph.forms.minimal_form(pair[0])
+    w1 = graph.forms.minimal_form(pair[1])
     if not pair_in_section_image(w0, w1):
         raise TransduceError(f"not in the section image: ({w0!r}, {w1!r})")
 
@@ -756,7 +761,7 @@ def preimage_constant(graph: TransducerGraph, weights: Weight | None = None) -> 
     weights = weights or graph.weights
     exact, _, dist = _cycle_ratio(graph, weights, exclude_special=True)
     eta = float(exact)
-    excess = max(dist) / (2 * exact.denominator * SCALE)
+    excess = _walk_excess(exact, dist)
     prefix = word_weight("aba", weights) / SCALE
     rewrite = max(word_weight(CHUNKED_LETTER[x], weights) - weights[x]
                   for x in "bcd") / SCALE

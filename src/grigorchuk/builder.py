@@ -134,18 +134,18 @@ def build(params: BuildParams, log: list[str] | None = None) -> TransducerGraph:
             if i == 0:
                 forms.extend(total + SCALE)
             r0 = mul(cand.left, e0)
-            o0 = form_weight.get(id(r0))
+            o0 = form_weight.get(r0)
             if o0 is None:
                 continue
             r1 = mul(cand.right, e1)
-            o1 = form_weight.get(id(r1))
+            o1 = form_weight.get(r1)
             if o1 is None:
                 continue
             q = _score(w0, w1, o0, o1, cand.weight, delta)
             if q < threshold - 1e-12:
                 continue
             if q > best_q + 1e-12:
-                best = (cand, (forms.table[id(r0)], forms.table[id(r1)]), q)
+                best = (cand, (forms.table[r0], forms.table[r1]), q)
                 best_q = q
         else:
             i = len(candidates)  # no cut fired: all were scanned

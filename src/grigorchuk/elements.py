@@ -6,6 +6,9 @@ its two subtree sections, whose reduced lengths are at most half its own
 every node by (parity, left, right) gives each group element one shared
 immutable representative.  Equality of elements is pointer identity,
 which makes the word problem a dictionary lookup after construction.
+Elements define neither ``__eq__`` nor ``__hash__``, so the intern and
+product tables here, and the minimal-form tables built on them, key on
+the elements themselves.
 """
 
 from __future__ import annotations
@@ -49,15 +52,15 @@ GEN_D.left, GEN_D.right = IDENTITY, GEN_B
 # The element of each word of length at most one.
 ATOMS = {"": IDENTITY, "a": GEN_A, "b": GEN_B, "c": GEN_C, "d": GEN_D}
 
-_INTERN: dict[tuple[int, int, int], Element] = {
-    (e.swap, id(e.left), id(e.right)): e for e in ATOMS.values() if e.left is not None
+_INTERN: dict[tuple[int, Element, Element], Element] = {
+    (e.swap, e.left, e.right): e for e in ATOMS.values() if e.left is not None
 }
 
 
 def _node(swap: int, left: Element, right: Element) -> Element:
     if swap == 0 and left is IDENTITY and right is IDENTITY:
         return IDENTITY
-    key = (swap, id(left), id(right))
+    key = (swap, left, right)
     found = _INTERN.get(key)
     if found is None:
         found = Element(swap, left, right)
@@ -76,12 +79,12 @@ def _element_of_reduced(w: str) -> Element:
 # Products of distinct atoms from {b,c,d} close up cyclically, so the
 # recursion below would chase b*c -> c*d -> d*b forever without these
 # seeds; every other section pair is structurally smaller.
-_MUL: dict[tuple[int, int], Element] = {}
+_MUL: dict[tuple[Element, Element], Element] = {}
 for _x, _y, _z in (("b", "c", "d"), ("c", "d", "b"), ("d", "b", "c")):
-    _MUL[(id(ATOMS[_x]), id(ATOMS[_y]))] = ATOMS[_z]
-    _MUL[(id(ATOMS[_y]), id(ATOMS[_x]))] = ATOMS[_z]
+    _MUL[(ATOMS[_x], ATOMS[_y])] = ATOMS[_z]
+    _MUL[(ATOMS[_y], ATOMS[_x])] = ATOMS[_z]
 for _x in "abcd":
-    _MUL[(id(ATOMS[_x]), id(ATOMS[_x]))] = IDENTITY
+    _MUL[(ATOMS[_x], ATOMS[_x])] = IDENTITY
 
 
 def mul(g: Element, h: Element) -> Element:
@@ -90,7 +93,7 @@ def mul(g: Element, h: Element) -> Element:
         return h
     if h is IDENTITY:
         return g
-    key = (id(g), id(h))
+    key = (g, h)
     found = _MUL.get(key)
     if found is None:
         if g.swap == 0:

@@ -50,12 +50,6 @@ def gamma(mfs: MinimalForms, radius: int) -> int:
     return gamma_table(mfs, [radius])[0][1]
 
 
-def gamma_restricted(mfs: MinimalForms, radius: int,
-                     predicate: Callable[[str], bool]) -> int:
-    """Ball count of the elements whose canonical word passes a test."""
-    return gamma_table(mfs, [radius], predicate)[0][1]
-
-
 def gamma_by_signature(max_len: int, probe_depth: int = 5) -> list[int]:
     """Unit-weight ball counts 0..max_len via the action cross-check.
 

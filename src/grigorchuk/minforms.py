@@ -120,12 +120,10 @@ class MinimalForms:
         check_weights(weights)
         self.weights = dict(weights)
         self.element_budget = element_budget
-        self.table: dict[int, str] = {}
+        self.table: dict[Element, str] = {}
         # scaled weight of each settled form, keyed and ordered like table;
         # forms settle in priority order, so these never decrease
-        self.form_weight: dict[int, int] = {}
-        # keeps settled elements alive, so their ids stay unique
-        self._elems: list[Element] = []
+        self.form_weight: dict[Element, int] = {}
         # (weight, length, key, element) of each pushed, unsettled word
         self._heap: list[tuple[int, int, str, Element]] = [(0, 0, "", ATOMS[""])]
         self._grow = {last: [(ch.translate(_KEY), weights[ch], ATOMS[ch])
@@ -142,39 +140,37 @@ class MinimalForms:
         """
         if radius <= self._settled_upto:
             return
-        heap, table, elems = self._heap, self.table, self._elems
-        form_weight = self.form_weight
+        heap, table, form_weight = self._heap, self.table, self.form_weight
         while heap and heap[0][0] <= radius:
             weight, n, key, e = heapq.heappop(heap)
-            if id(e) in table:
+            if e in table:
                 continue
             if len(table) >= self.element_budget:
                 raise RuntimeError(
                     f"element budget {self.element_budget} exceeded at radius "
                     f"{format_scaled(weight)}")
-            table[id(e)] = key.translate(_WORD)
-            form_weight[id(e)] = weight
-            elems.append(e)
+            table[e] = key.translate(_WORD)
+            form_weight[e] = weight
             for digit, cost, gen in self._grow[key[-1:]]:
                 child = mul(e, gen)
-                if id(child) not in table:
+                if child not in table:
                     heapq.heappush(heap, (weight + cost, n + 1, key + digit, child))
         self._settled_upto = radius
 
-    def _settled_id(self, word: str) -> int:
-        """The table key of the element of ``word``, settled if it was not."""
-        key = id(element_of(word))
-        if key not in self.table:
+    def _settled(self, word: str) -> Element:
+        """The element of ``word``, settled if it was not."""
+        e = element_of(word)
+        if e not in self.table:
             self.extend(word_weight(free_reduce(word), self.weights))
-        return key
+        return e
 
     def minimal_form(self, word: str) -> str:
         """The canonical minimal-weight word for the element of ``word``."""
-        return self.table[self._settled_id(word)]
+        return self.table[self._settled(word)]
 
     def element_weight(self, word: str) -> int:
         """Scaled weight of the element represented by ``word``."""
-        return self.form_weight[self._settled_id(word)]
+        return self.form_weight[self._settled(word)]
 
     def is_minimal(self, word: str) -> bool:
         """Whether ``word`` has the least weight among words for its element."""

@@ -6,8 +6,8 @@ import pytest
 
 from grigorchuk import (MinimalForms, SCALE, TUNED_WEIGHTS, UNIT_WEIGHTS,
                         alpha_of_eta, check_subgroup_growth, gamma,
-                        gamma_by_signature, lower_bound_log_gamma)
-from grigorchuk.growth import BoundParams, gamma_restricted
+                        gamma_by_signature, gamma_table, lower_bound_log_gamma)
+from grigorchuk.growth import BoundParams
 from grigorchuk.words import in_H
 
 # unit-weight ball sizes, confirmed independently by the two back-ends
@@ -43,7 +43,7 @@ class TestGamma:
         assert all(x < y for x, y in zip(table, table[1:]))
 
     def test_restricted_radius_one(self, unit_forms):
-        assert gamma_restricted(unit_forms, SCALE, in_H) == 4
+        assert gamma_table(unit_forms, [SCALE], in_H) == [(SCALE, 4)]
 
 
 class TestSubgroupSandwich:

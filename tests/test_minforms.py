@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from grigorchuk import (MinimalForms, SCALE, TUNED_WEIGHTS, UNIT_WEIGHTS,
-                        parse_weights, word_weight, words_equal)
+                        element_of, parse_weights, word_weight, words_equal)
 from grigorchuk.minforms import format_scaled, is_triangular, scale_decimal
 
 words = st.text(alphabet="abcd", max_size=9)
@@ -58,6 +58,13 @@ class TestCanonicalForm:
     def test_trivial_words(self, unit_forms):
         assert unit_forms.minimal_form("") == ""
         assert unit_forms.minimal_form("abba") == ""
+
+    def test_tables_key_on_elements(self, unit_forms):
+        # dada is weight-minimal under unit weights but not canonical, so
+        # only its element, not the word, finds the form adad
+        unit_forms.extend(4 * SCALE)
+        assert unit_forms.table[element_of("dada")] == "adad"
+        assert unit_forms.form_weight[element_of("dada")] == 4 * SCALE
 
     def test_lex_order_prefers_a_then_d(self, unit_forms):
         # among equal-weight equal-length spellings the order a < d < c < b

@@ -25,11 +25,14 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-from grigorchuk.automaton import Transition, TransducerGraph, serialize_graph
-from grigorchuk.minforms import TUNED_WEIGHTS
-from grigorchuk.words import (free_reduce, in_B, pair_in_section_image,
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from grigorchuk.automaton import Transition, TransducerGraph, serialize_graph  # noqa: E402
+from grigorchuk.minforms import TUNED_WEIGHTS  # noqa: E402
+from grigorchuk.words import (free_reduce, in_B, pair_in_section_image,  # noqa: E402
                               psi_preimage_basic, rev, sigma)
-from grigorchuk.elements import element_of
+from grigorchuk.elements import element_of  # noqa: E402
 
 CHUNKS = [(x, y) for x in "dcb" for y in "dcb"]
 
@@ -239,7 +242,6 @@ def build_fixture() -> tuple[TransducerGraph, dict[str, int]]:
 
 
 def main() -> int:
-    root = Path(__file__).resolve().parent.parent
     graph, stats = build_fixture()
 
     from grigorchuk.automaton import (first_loop_ratio, max_cycle_ratio,
@@ -264,7 +266,7 @@ def main() -> int:
     text = serialize_graph(graph)
     again = serialize_graph(parse_graph(text))
     assert text == again, "serialization is not stable under reparsing"
-    out = root / "fixtures" / "appendix.graph"
+    out = ROOT / "fixtures" / "appendix.graph"
     out.parent.mkdir(exist_ok=True)
     out.write_text(text)
     print(f"wrote {out} ({len(text.splitlines())} lines)")
