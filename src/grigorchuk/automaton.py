@@ -7,16 +7,20 @@ minimal-form words: input vertices consume one chunk on each stream and
 have all nine successors, output vertices emit their single label and
 move to the buffer with that label's sections cancelled off.
 
-The central invariant, checked by the verifier for every output
-transition labelled v from buffer (u0,u1) to (u0',u1'), is
+The central invariant is one successor rule, ``TransducerGraph.successor``:
+a transition from buffer (u0,u1) that consumes (x0,x1) and emits v
+reaches the minimal forms of
 
-    element(v0 * u0') = element(u0)   and   element(v1 * u1') = element(u1)
+    rev(v0) + u0 + x0   and   rev(v1) + u1 + x1
 
-with (v0,v1) the section pair of v: the sections of the emitted output
-times the remaining buffer always equal the consumed input.  Because all
-generators are involutions, a buffer pair may equally be stored with its
-components swapped; the verifier and the runner accept either
-orientation and track the swap.
+with (v0,v1) the section pair of v.  Since all generators are
+involutions, rev(v0) is the inverse of v0, so the sections of the
+emitted output times the remaining buffer always equal the consumed
+input.  Parsing, the builder, the verifier and the runner all step
+buffers by this rule, and the verifier checks it on every transition:
+chunk edges, output edges and the pad edges of specials.  A buffer pair
+may equally be stored with its components swapped; the verifier and the
+runner accept either orientation and track the swap.
 
 Cycle analysis bounds the output weight of arbitrarily long runs: the
 maximal ratio 2*out/(in0+in1) over directed cycles is the certified
@@ -31,8 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .elements import element_of, words_equal
-from .minforms import (MinimalForms, SCALE, Weight, format_scaled,
+from .elements import words_equal
+from .minforms import (MinimalForms, SCALE, Weight, format_weights,
                        parse_weights, word_weight)
 from .words import (check_word, free_reduce, in_B, in_H,
                     pair_in_section_image, psi, psi_preimage_basic, rev)
@@ -76,12 +80,17 @@ class Transition:
     output: str | None = None     # output label
     special: bool = False
 
-    def consumed(self, w: Weight) -> tuple[int, int]:
+    def consumed_words(self) -> Buffer:
+        """The words read from the two input streams."""
         if self.chunk is not None:
-            return word_weight(self.chunk[0], w), word_weight(self.chunk[1], w)
+            return self.chunk
         if self.pad is not None:
-            return 0, word_weight(self.pad, w)
-        return 0, 0
+            return "", self.pad
+        return "", ""
+
+    def consumed(self, w: Weight) -> tuple[int, int]:
+        x0, x1 = self.consumed_words()
+        return word_weight(x0, w), word_weight(x1, w)
 
     def emitted(self, w: Weight) -> int:
         return word_weight(self.output, w) if self.output is not None else 0
@@ -110,7 +119,8 @@ class VerificationReport:
         return not self.violations
 
 
-def _buffer_to_text(b: Buffer) -> str:
+def buffer_text(b: Buffer) -> str:
+    """A buffer pair as the graph format writes it, LAMBDA for empty."""
     return f"({b[0] or LAMBDA},{b[1] or LAMBDA})"
 
 
@@ -143,7 +153,7 @@ class TransducerGraph:
     def add_state(self, buffer: Buffer, kind: str, initial: bool = False,
                   final: bool = False) -> State:
         if buffer in self.states:
-            raise GraphFormatError(f"duplicate state {_buffer_to_text(buffer)}")
+            raise GraphFormatError(f"duplicate state {buffer_text(buffer)}")
         st = State(buffer, kind, initial, final)
         self.states[buffer] = st
         if initial and self._initial is None:
@@ -167,6 +177,17 @@ class TransducerGraph:
         if self._initial is None:
             raise GraphFormatError("no initial state")
         return self._initial
+
+    def successor(self, src: Buffer, consumed: Buffer = ("", ""),
+                  emitted: str = "") -> Buffer:
+        """The buffer reached from src by reading consumed and writing
+        emitted: the minimal forms of rev(v_i) + src_i + consumed_i, with
+        (v0,v1) the section pair of emitted."""
+        w0, w1 = src[0] + consumed[0], src[1] + consumed[1]
+        if emitted:
+            v0, v1 = psi(emitted)
+            w0, w1 = rev(v0) + w0, rev(v1) + w1
+        return self.forms.minimal_form(w0), self.forms.minimal_form(w1)
 
     def input_transitions(self, src: Buffer) -> dict[Buffer, Transition]:
         return {t.chunk: t for t in self.by_source.get(src, ())
@@ -248,7 +269,7 @@ def parse_graph(text: str) -> TransducerGraph:
             check_word(output)
             if src not in graph.states or graph.states[src].kind != "output":
                 raise GraphFormatError(
-                    f"{where}: edge source {_buffer_to_text(src)} is not a "
+                    f"{where}: edge source {buffer_text(src)} is not a "
                     f"declared output state")
             parsed.append((where, "out", src, None, output, target, None))
         elif tokens[0] == "edge":
@@ -268,14 +289,13 @@ def parse_graph(text: str) -> TransducerGraph:
                 check_word(output)
             if src not in graph.states or graph.states[src].kind != "input":
                 raise GraphFormatError(
-                    f"{where}: edge source {_buffer_to_text(src)} is not a "
+                    f"{where}: edge source {buffer_text(src)} is not a "
                     f"declared input state")
             mid = None
             if output is not None:
                 # implicit output vertices are keyed by their exact buffer;
                 # a swapped pair is a different vertex with its own label
-                mid = (graph.forms.minimal_form(src[0] + chunk[0]),
-                       graph.forms.minimal_form(src[1] + chunk[1]))
+                mid = graph.successor(src, chunk)
                 if mid not in graph.states:
                     graph.add_state(mid, "output")
             parsed.append((where, "edge", src, chunk, output, target, mid))
@@ -296,7 +316,7 @@ def parse_graph(text: str) -> TransducerGraph:
             if src not in graph.states or graph.states[src].kind != "input":
                 raise GraphFormatError(
                     f"{where}: special source is not a declared input state")
-            mid = (src[0], graph.forms.minimal_form(src[1] + consumed))
+            mid = graph.successor(src, ("", consumed))
             if mid not in graph.states:
                 graph.add_state(mid, "output")
             parsed.append((where, "special", src, consumed, output, target,
@@ -304,26 +324,26 @@ def parse_graph(text: str) -> TransducerGraph:
 
     # Second pass: resolve successors and lay down transitions.  Each
     # output state gets one output transition; a line that repeats it (a
-    # special whose buffer an edge already emits from, say) adds none.
-    seen_out: dict[Buffer, tuple[str, Buffer]] = {}
-
+    # special whose buffer an edge already emits from, say) adds none.  The
+    # output is special only if every line giving it is, whatever the order.
     def add_output(where: str, state: Buffer, output: str, resolved: Buffer,
                    special: bool = False) -> None:
-        prior = seen_out.get(state)
+        prior = graph.output_transition(state)
         if prior is None:
-            seen_out[state] = (output, resolved)
             graph.add_transition(
                 Transition(state, resolved, output=output, special=special))
-        elif prior != (output, resolved):
+        elif (prior.output, prior.dst) != (output, resolved):
             raise GraphFormatError(
-                f"{where}: duplicate state {_buffer_to_text(state)} with "
+                f"{where}: duplicate state {buffer_text(state)} with "
                 f"conflicting output transitions")
+        elif not special:
+            prior.special = False
 
     for where, kind, src, label, output, target, mid in parsed:
         resolved = graph.resolve(target)
         if resolved is None:
             raise GraphFormatError(
-                f"{where}: dangling endpoint {_buffer_to_text(target)}")
+                f"{where}: dangling endpoint {buffer_text(target)}")
         if kind == "out":
             add_output(where, src, output, resolved)
         elif kind == "edge":
@@ -344,7 +364,7 @@ def parse_graph(text: str) -> TransducerGraph:
                   if t.chunk is not None]
         if len(chunks) != 9 or len(set(chunks)) != 9:
             raise GraphFormatError(
-                f"wrong successor count at {_buffer_to_text(st.buffer)}: "
+                f"wrong successor count at {buffer_text(st.buffer)}: "
                 f"{len(chunks)} chunk edges, {len(set(chunks))} distinct")
     return graph
 
@@ -356,8 +376,7 @@ def serialize_graph(graph: TransducerGraph) -> str:
     edge lines; an output state only reachable from another output state
     is declared explicitly with its own output edge line.
     """
-    lines = ["weights " + " ".join(
-        f"{ch}={format_scaled(graph.weights[ch])}" for ch in "abcd")]
+    lines = ["weights " + format_weights(graph.weights)]
     chunk_covered = {t.dst for t in graph.transitions
                      if t.chunk is not None and not t.special
                      and graph.states[t.dst].kind == "output"}
@@ -365,35 +384,35 @@ def serialize_graph(graph: TransducerGraph) -> str:
         if st.kind == "input":
             flags = (" initial" if st.initial else "") + \
                 (" final" if st.final else "")
-            lines.append(f"state {_buffer_to_text(st.buffer)} input{flags}")
+            lines.append(f"state {buffer_text(st.buffer)} input{flags}")
     for st in graph.states.values():
         if st.kind == "output" and st.buffer not in chunk_covered:
             out = graph.output_transition(st.buffer)
             if out is not None and not out.special:
-                lines.append(f"state {_buffer_to_text(st.buffer)} output")
+                lines.append(f"state {buffer_text(st.buffer)} output")
     for t in graph.transitions:
         if t.chunk is not None and not t.special:
             out = graph.output_transition(t.dst) \
                 if graph.states[t.dst].kind == "output" else None
             if out is None:
-                lines.append(f"edge {_buffer_to_text(t.src)} in "
-                             f"{_buffer_to_text(t.chunk)} -> "
-                             f"{_buffer_to_text(t.dst)}")
+                lines.append(f"edge {buffer_text(t.src)} in "
+                             f"{buffer_text(t.chunk)} -> "
+                             f"{buffer_text(t.dst)}")
             else:
-                lines.append(f"edge {_buffer_to_text(t.src)} in "
-                             f"{_buffer_to_text(t.chunk)} out {out.output} -> "
-                             f"{_buffer_to_text(out.dst)}")
+                lines.append(f"edge {buffer_text(t.src)} in "
+                             f"{buffer_text(t.chunk)} out {out.output} -> "
+                             f"{buffer_text(out.dst)}")
     for t in graph.transitions:
         if t.output is not None and not t.special \
                 and t.src not in chunk_covered:
-            lines.append(f"edge {_buffer_to_text(t.src)} out {t.output} -> "
-                         f"{_buffer_to_text(t.dst)}")
+            lines.append(f"edge {buffer_text(t.src)} out {t.output} -> "
+                         f"{buffer_text(t.dst)}")
     for t in graph.transitions:
         if t.special and t.pad is not None:
             out = graph.output_transition(t.dst)
-            lines.append(f"special {_buffer_to_text(t.src)} pad "
+            lines.append(f"special {buffer_text(t.src)} pad "
                          f"({PAD * len(t.pad)},{t.pad}) out {out.output} -> "
-                         f"{_buffer_to_text(out.dst)}")
+                         f"{buffer_text(out.dst)}")
     return "\n".join(lines) + "\n"
 
 
@@ -402,9 +421,10 @@ def serialize_graph(graph: TransducerGraph) -> str:
 def verify_graph(graph: TransducerGraph) -> VerificationReport:
     """Check every structural and group-theoretic requirement; report all.
 
-    Output transitions must emit parity-even minimal-weight labels whose
-    sections cancel the buffer exactly; input transitions must land on the
-    buffer extended by their chunk; input states need nine distinct
+    Every transition must reach graph.successor of its source, reading
+    its chunk or pad and writing its output; output labels must also be
+    parity-even and weight-minimal, pads must lie in the closure of b at
+    a section-pair buffer, and input states need nine distinct
     successors.  A successor stored with swapped components is accepted
     and counted, not flagged.
     """
@@ -414,48 +434,25 @@ def verify_graph(graph: TransducerGraph) -> VerificationReport:
     report.output_states = len(graph.states) - report.input_states
     report.transitions = len(graph.transitions)
 
-    def equation_holds(v: str, src: Buffer, dst: Buffer) -> bool:
-        v0, v1 = psi(v)
-        return (element_of(v0 + dst[0]) is element_of(src[0])
-                and element_of(v1 + dst[1]) is element_of(src[1]))
-
     for t in graph.transitions:
-        src_name = _buffer_to_text(t.src)
+        src_name = buffer_text(t.src)
         if t.output is not None:
-            u = graph.states[t.src].buffer
+            label = f"output {t.output!r}"
             if not in_H(t.output):
                 report.violations.append(
-                    f"output {t.output!r} at {src_name} has odd a-parity")
+                    f"{label} at {src_name} has odd a-parity")
                 continue
-            target = graph.states[t.dst].buffer
-            if equation_holds(t.output, u, target):
-                pass
-            elif equation_holds(t.output, u, (target[1], target[0])):
-                report.swapped_successors += 1
-            else:
-                report.violations.append(
-                    f"output {t.output!r} at {src_name} does not cancel the "
-                    f"buffer into {_buffer_to_text(target)}")
             if not graph.forms.is_minimal(t.output):
                 report.violations.append(
-                    f"output {t.output!r} at {src_name} is not weight-minimal")
+                    f"{label} at {src_name} is not weight-minimal")
             elif graph.forms.minimal_form(t.output) != t.output:
                 report.notes.append(
-                    f"output {t.output!r} at {src_name} is minimal-weight but "
-                    f"not the canonical spelling")
+                    f"{label} at {src_name} is minimal-weight but not the "
+                    f"canonical spelling")
         elif t.chunk is not None:
-            expect = (graph.forms.minimal_form(t.src[0] + t.chunk[0]),
-                      graph.forms.minimal_form(t.src[1] + t.chunk[1]))
-            target = graph.states[t.dst].buffer
-            if target == expect:
-                pass
-            elif target == (expect[1], expect[0]):
-                report.swapped_successors += 1
-            else:
-                report.violations.append(
-                    f"chunk {t.chunk} at {src_name} should reach "
-                    f"{_buffer_to_text(expect)}, found {_buffer_to_text(target)}")
+            label = f"chunk {t.chunk}"
         else:
+            label = f"pad {t.pad!r}"
             if not in_B(t.pad or ""):
                 report.violations.append(
                     f"special at {src_name} consumes {t.pad!r} outside the "
@@ -464,6 +461,15 @@ def verify_graph(graph: TransducerGraph) -> VerificationReport:
                 report.violations.append(
                     f"special attached at {src_name} whose buffer is not a "
                     f"section pair")
+        expect = graph.successor(t.src, t.consumed_words(), t.output or "")
+        if t.dst == expect:
+            pass
+        elif t.dst == (expect[1], expect[0]):
+            report.swapped_successors += 1
+        else:
+            report.violations.append(
+                f"{label} at {src_name} should reach {buffer_text(expect)}, "
+                f"found {buffer_text(t.dst)}")
 
     for st in graph.states.values():
         leaving = graph.by_source.get(st.buffer, ())
@@ -471,13 +477,13 @@ def verify_graph(graph: TransducerGraph) -> VerificationReport:
             chunks = set(t.chunk for t in leaving if t.chunk is not None)
             if len(chunks) != 9:
                 report.violations.append(
-                    f"input state {_buffer_to_text(st.buffer)} has "
+                    f"input state {buffer_text(st.buffer)} has "
                     f"{len(chunks)} distinct chunk successors, expected 9")
         else:
             outs = [t for t in leaving if t.output is not None]
             if len(outs) != 1:
                 report.violations.append(
-                    f"output state {_buffer_to_text(st.buffer)} has "
+                    f"output state {buffer_text(st.buffer)} has "
                     f"{len(outs)} output transitions, expected 1")
     return report
 
@@ -485,16 +491,14 @@ def verify_graph(graph: TransducerGraph) -> VerificationReport:
 # --- cycle-ratio engine -----------------------------------------------------
 
 def _ratio_edges(graph: TransducerGraph, weights: Weight,
-                 exclude_special: bool) -> list[tuple[int, int, int, int, int]]:
-    """Edges as (src_idx, dst_idx, in0, in1, out) in scaled units."""
+                 exclude_special: bool) -> tuple[list[Transition], list]:
+    """The kept transitions, and their edges as (src_idx, dst_idx, in0,
+    in1, out) in scaled units."""
     index = {b: i for i, b in enumerate(graph.states)}
-    edges = []
-    for ti, t in enumerate(graph.transitions):
-        if exclude_special and t.special:
-            continue
-        i0, i1 = t.consumed(weights)
-        edges.append((index[t.src], index[t.dst], i0, i1, t.emitted(weights)))
-    return edges
+    kept = [t for t in graph.transitions
+            if not (exclude_special and t.special)]
+    return kept, [(index[t.src], index[t.dst], *t.consumed(weights),
+                   t.emitted(weights)) for t in kept]
 
 
 def _longest_walks(n: int, edges: list, num: int,
@@ -549,9 +553,7 @@ def _cycle_ratio(graph: TransducerGraph, weights: Weight,
     certifying that no cycle exceeds it.
     """
     n = len(graph.states)
-    edges = _ratio_edges(graph, weights, exclude_special)
-    kept = [t for t in graph.transitions
-            if not (exclude_special and t.special)]
+    kept, edges = _ratio_edges(graph, weights, exclude_special)
     eta = Fraction(0)
     report = None
     while True:
@@ -677,7 +679,7 @@ def transduce(graph: TransducerGraph, pair: Buffer) -> TransduceResult:
 
     state = graph.initial_state()
     mirror = 0
-    true0, true1 = "", ""
+    true = ("", "")
     parts = [prefix]
     pos = 0
     used_special = False
@@ -685,47 +687,43 @@ def transduce(graph: TransducerGraph, pair: Buffer) -> TransduceResult:
     def emit(word: str) -> None:
         parts.append("a" + word + "a" if mirror else word)
 
-    def orient(nxt: State, after: str) -> int:
-        # the mirror bit under which nxt's buffer is the true buffer
-        if nxt.buffer == (true0, true1):
-            return 0
-        if nxt.buffer == (true1, true0):
-            return 1
-        raise TransduceError(f"stuck: successor buffer mismatch after {after}")
-
     while True:
+        # parts[-1] is the word written, a*v*a when mirrored, whose
+        # sections are those of v swapped
         if state.kind == "output":
             t = graph.output_transition(state.buffer)
             if t is None:
                 raise TransduceError(
                     f"stuck: no output transition at "
-                    f"{_buffer_to_text(state.buffer)}")
+                    f"{buffer_text(state.buffer)}")
             emit(t.output)
-            v0, v1 = psi(t.output)
-            if mirror:
-                v0, v1 = v1, v0
-            true0 = graph.forms.minimal_form(rev(v0) + true0)
-            true1 = graph.forms.minimal_form(rev(v1) + true1)
-            state = graph.states[t.dst]
-            mirror = orient(state, repr(t.output))
-            continue
-        if pos >= len(chunks0):
-            break
-        c0, c1 = chunks0[pos], chunks1[pos]
-        pos += 1
-        key = (c1, c0) if mirror else (c0, c1)
-        t = graph.input_transitions(state.buffer).get(key)
-        if t is None:
-            raise TransduceError(
-                f"stuck: no chunk edge {key} at {_buffer_to_text(state.buffer)}")
-        true0 = graph.forms.minimal_form(true0 + c0)
-        true1 = graph.forms.minimal_form(true1 + c1)
+            true = graph.successor(true, emitted=parts[-1])
+            after = repr(t.output)
+        else:
+            if pos >= len(chunks0):
+                break
+            c0, c1 = chunks0[pos], chunks1[pos]
+            pos += 1
+            key = (c1, c0) if mirror else (c0, c1)
+            t = graph.input_transitions(state.buffer).get(key)
+            if t is None:
+                raise TransduceError(f"stuck: no chunk edge {key} at "
+                                     f"{buffer_text(state.buffer)}")
+            true = graph.successor(true, (c0, c1))
+            after = f"chunk {key}"
+        # the mirror bit under which the successor's buffer is the true one
         state = graph.states[t.dst]
-        mirror = orient(state, f"chunk {key}")
+        if state.buffer == true:
+            mirror = 0
+        elif state.buffer == (true[1], true[0]):
+            mirror = 1
+        else:
+            raise TransduceError(
+                f"stuck: successor buffer mismatch after {after}")
 
     rest = "".join(chunks1[pos:])
-    residue0 = true0
-    residue1 = free_reduce(true1 + rest)
+    residue0 = true[0]
+    residue1 = free_reduce(true[1] + rest)
     if not mirror and state.buffer == ("", "") and residue0 == "":
         canonical = graph.forms.minimal_form(residue1)
         specials = graph.special_transitions(state.buffer)

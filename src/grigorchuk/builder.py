@@ -158,7 +158,7 @@ def build(params: BuildParams, log: list[str] | None = None) -> TransducerGraph:
     graph.add_state(("", ""), "input", initial=True, final=True)
     chunk_targets: set[Buffer] = set()
     for chunk in CHUNK_PAIRS:
-        succ = (forms.minimal_form(chunk[0]), forms.minimal_form(chunk[1]))
+        succ = graph.successor(("", ""), chunk)
         graph.add_transition(Transition(("", ""), succ, chunk=chunk))
         chunk_targets.add(succ)
         queue.append(succ)
@@ -189,8 +189,7 @@ def build(params: BuildParams, log: list[str] | None = None) -> TransducerGraph:
         else:
             graph.add_state(buf, "input")
             for chunk in CHUNK_PAIRS:
-                succ = (forms.minimal_form(buf[0] + chunk[0]),
-                        forms.minimal_form(buf[1] + chunk[1]))
+                succ = graph.successor(buf, chunk)
                 graph.add_transition(Transition(buf, succ, chunk=chunk))
                 chunk_targets.add(succ)
                 queue.append(succ)
@@ -211,7 +210,7 @@ def build(params: BuildParams, log: list[str] | None = None) -> TransducerGraph:
                 raise RuntimeError(
                     f"no special preimage found within bound at {st.buffer} "
                     f"for {u!r}")
-            mid = (b0, forms.minimal_form(b1 + u))
+            mid = graph.successor(st.buffer, ("", u))
             if mid in graph.states:
                 existing = graph.output_transition(mid)
                 if existing is None or existing.output != label \

@@ -14,14 +14,15 @@ import json
 import sys
 from pathlib import Path
 
-from .automaton import (GraphFormatError, TransduceError, max_cycle_ratio,
-                        parse_graph, serialize_graph, transduce, verify_graph)
+from .automaton import (GraphFormatError, TransduceError, buffer_text,
+                        max_cycle_ratio, parse_graph, serialize_graph,
+                        transduce, verify_graph)
 from .builder import BuildParams, build
 from .elements import is_trivial
 from .growth import (BoundParams, alpha_of_eta, check_subgroup_growth,
                      gamma_table, lower_bound_log_gamma)
 from .minforms import (MinimalForms, SCALE, TUNED_WEIGHTS, UNIT_WEIGHTS,
-                       Weight, format_scaled, parse_weights)
+                       Weight, format_scaled, format_weights, parse_weights)
 from .optimizer import (DEFAULT_STEPS, OptimizerSchedule, optimize_weights,
                          trace_csv)
 from .words import (act, check_word, free_reduce, in_H, psi,
@@ -56,10 +57,6 @@ def _load_graph(path: str):
 
 def _weights_json(w: Weight) -> dict[str, str]:
     return {k: format_scaled(v) for k, v in sorted(w.items())}
-
-
-def _weights_line(w: Weight) -> str:
-    return " ".join(f"{k}={format_scaled(w[k])}" for k in "abcd")
 
 
 def _cmd_act(args) -> int:
@@ -122,7 +119,7 @@ def _cmd_growth(args) -> int:
     for i, w in enumerate(tables):
         if i:
             print()
-        print(f"# {_weights_line(w)}")
+        print(f"# {format_weights(w)}")
         print("radius,count")
         for radius, count in _growth_rows(w, args.max_radius, args.subgroup):
             print(f"{radius},{count}")
@@ -180,14 +177,12 @@ def _cmd_verify_graph(args) -> int:
 
 def _edge_text(t) -> str:
     if t.chunk is not None:
-        label = f"in ({t.chunk[0]},{t.chunk[1]})"
+        label = f"in {buffer_text(t.chunk)}"
     elif t.pad is not None:
         label = f"pad {_show(t.pad)}"
     else:
         label = f"out {_show(t.output)}"
-    src = f"({_show(t.src[0])},{_show(t.src[1])})"
-    dst = f"({_show(t.dst[0])},{_show(t.dst[1])})"
-    return f"{src} --{label}--> {dst}"
+    return f"{buffer_text(t.src)} --{label}--> {buffer_text(t.dst)}"
 
 
 def _cmd_eta(args) -> int:
@@ -253,7 +248,7 @@ def _cmd_optimize(args) -> int:
     schedule = OptimizerSchedule(step_sizes=steps,
                                  max_iterations=args.max_iterations)
     weights, eta, trace = optimize_weights(graph, initial, schedule)
-    Path(args.out).write_text(_weights_line(weights) + "\n")
+    Path(args.out).write_text(format_weights(weights) + "\n")
     sys.stdout.write(trace_csv(trace))
     print(f"eta {_fmt(eta)}", file=sys.stderr)
     return 0

@@ -93,6 +93,11 @@ def format_scaled(v: int) -> str:
     return f"{sign}{whole}.{frac:04d}".rstrip("0")
 
 
+def format_weights(w: Weight) -> str:
+    """The weights as parse_weights reads them: a=.. b=.. c=.. d=.."""
+    return " ".join(f"{ch}={format_scaled(w[ch])}" for ch in LETTERS)
+
+
 def check_weights(w: Weight) -> None:
     if any(w[ch] <= 0 for ch in LETTERS):
         raise ValueError("weights must be positive")

@@ -70,6 +70,16 @@ edge (-,b) out d -> (-,-)
 special (-,-) pad (_,b) out d -> (-,-)
 """
 
+# A heavy chunk edge at (-,-) and a special at (da,-) share the output state
+# (da,da); the cycle through it has ratio 2*6/(2+2) = 3, the (ca,ca) one 1.
+HEAVY_EDGE = "edge (-,-) in (da,da) out cacaca -> (-,-)\n"
+HEAVY_SPECIAL = "special (da,-) pad (__,da) out cacaca -> (-,-)\n"
+SHARED_HEAVY_MID = (
+    HEADER + "state (da,-) input\n"
+    + SILENT_LOOPS.replace("edge (-,-) in (da,da) -> (-,-)\n", "")
+    .replace("in (ca,ca) ->", "in (ca,ca) out ca ->")
+    + SILENT_LOOPS.replace("(-,-)", "(da,-)"))
+
 
 # The fixture's witness cycle at its own weights, as (source, label) steps
 # from one rotation: in0 18.85, in1 12.57, out 66.51, ratio 6651/1571.
@@ -265,6 +275,17 @@ class TestParsing:
                 assert got.keys() == pads.keys()
                 assert all(got[k] is pads[k] for k in pads)
 
+    @pytest.mark.parametrize("special_first", [False, True])
+    def test_shared_output_special_only_if_every_line_is(self, special_first):
+        # the edge line's output is not special, so line order must not
+        # drop the state's cycles from eta
+        lines = [HEAVY_EDGE, HEAVY_SPECIAL]
+        graph = parse_graph(SHARED_HEAVY_MID + "".join(
+            lines[::-1] if special_first else lines))
+        assert max_cycle_ratio(graph)[0] == 3.0
+        assert serialize_graph(graph) == serialize_graph(
+            parse_graph(SHARED_HEAVY_MID + HEAVY_EDGE + HEAVY_SPECIAL))
+
     def test_special_conflicting_output(self):
         text = SHARED_MID.replace("pad (_,b) out d", "pad (_,b) out ada")
         with pytest.raises(GraphFormatError,
@@ -295,6 +316,15 @@ class TestVerification:
         assert not report.ok
         assert len(report.violations) == 1
         assert "acacacad" in report.violations[0]
+
+    def test_pad_successor_checked(self):
+        # the pad edge must reach its middle buffer (-,b); aimed at another
+        # declared output state, it is the one violation naming the pad
+        graph = parse_graph(
+            SHARED_MID + "state (-,d) output\nedge (-,d) out aca -> (-,-)\n")
+        graph.special_transitions(("", ""))["b"].dst = ("", "d")
+        assert [v for v in verify_graph(graph).violations if "pad" in v] \
+            == ["pad 'b' at (-,-) should reach (-,b), found (-,d)"]
 
 
 class TestCycleRatio:

@@ -2,6 +2,7 @@
 validation, and full deterministic builds."""
 
 import hashlib
+import random
 
 import pytest
 
@@ -10,11 +11,17 @@ from grigorchuk import (
     build,
     max_cycle_ratio,
     parse_graph,
+    preimage_constant,
+    psi,
     serialize_graph,
+    transduce,
     verify_graph,
+    words_equal,
 )
 from grigorchuk.builder import _candidates, _score
-from grigorchuk.minforms import UNIT_WEIGHTS, MinimalForms, parse_weights
+from grigorchuk.minforms import (SCALE, UNIT_WEIGHTS, MinimalForms,
+                                 parse_weights, word_weight)
+from grigorchuk.words import in_H
 
 # weights under which the construction lands on its lowest measured cycle
 # ratio; several build tests share one graph because a build takes seconds
@@ -93,6 +100,32 @@ class TestBuild:
         eta, witness = max_cycle_ratio(valley_graph)
         assert eta == pytest.approx(4.123894, abs=1e-4)
         assert witness.cycle
+
+    def test_transduce_sound_and_bounded(self, valley_graph):
+        # runs through the built machine invert psi and keep the run bound
+        # out <= eta*max(in) + K, closing through a special now and then
+        eta, _ = max_cycle_ratio(valley_graph)
+        slack = preimage_constant(valley_graph)
+        w = valley_graph.weights
+        rng = random.Random(7)
+        specials_used = 0
+        for _ in range(300):
+            while True:
+                h = "".join(rng.choice("abcd")
+                            for _ in range(rng.randrange(41)))
+                if in_H(h):
+                    break
+            pair = psi(h)
+            result = transduce(valley_graph, pair)
+            back = psi(result.output)
+            assert words_equal(back[0], pair[0])
+            assert words_equal(back[1], pair[1])
+            biggest = max(word_weight(pair[0], w),
+                          word_weight(pair[1], w)) / SCALE
+            assert word_weight(result.output, w) / SCALE \
+                <= eta * biggest + slack
+            specials_used += result.used_special
+        assert specials_used > 0
 
     def test_rebuild_byte_identical(self, valley_graph):
         again = build(BuildParams(initial_weight=VALLEY))
