@@ -32,6 +32,8 @@ cycle exceeds it.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -42,6 +44,9 @@ from .words import (check_word, free_reduce, in_B, in_H,
                     pair_in_section_image, psi, psi_preimage_basic, rev)
 
 Buffer = tuple[str, str]
+
+# The nine chunk pairs an input state consumes, (xa, ya) for x, y in {b,c,d}.
+CHUNK_PAIRS = [(x + "a", y + "a") for x in "dcb" for y in "dcb"]
 
 LAMBDA = "-"
 PAD = "_"
@@ -124,18 +129,14 @@ def buffer_text(b: Buffer) -> str:
     return f"({b[0] or LAMBDA},{b[1] or LAMBDA})"
 
 
-def _text_to_buffer(text: str, where: str) -> Buffer:
+def _text_to_buffer(text: str) -> Buffer:
     if not (text.startswith("(") and text.endswith(")") and "," in text):
-        raise GraphFormatError(f"{where}: malformed buffer {text!r}")
+        raise GraphFormatError(f"malformed buffer {text!r}")
     left, _, right = text[1:-1].partition(",")
-    out = []
-    for part in (left, right):
-        if part == LAMBDA:
-            out.append("")
-        else:
-            check_word(part)
-            out.append(part)
-    return out[0], out[1]
+    pair = ("" if left == LAMBDA else left, "" if right == LAMBDA else right)
+    for part in pair:
+        check_word(part)
+    return pair
 
 
 class TransducerGraph:
@@ -206,163 +207,159 @@ class TransducerGraph:
 
 # --- parsing and serialization ---------------------------------------------
 
+# The keywords a transition line may put between its source and "->": an
+# edge consumes a chunk, emits, or both; a special consumes a pad and emits.
+GRAMMAR = {"edge": (("in",), ("in", "out"), ("out",)),
+           "special": (("pad", "out"),)}
+
+
+@contextmanager
+def _numbered(lineno: int) -> Iterator[None]:
+    """Re-raise a ValueError as a GraphFormatError naming the line."""
+    try:
+        yield
+    except ValueError as exc:
+        raise GraphFormatError(f"line {lineno}: {exc}") from None
+
+
+def _read_transition(graph: TransducerGraph, tokens: list[str]
+                     ) -> tuple[Buffer, Transition | None, str | None, Buffer]:
+    """A transition line's source, consuming step (a chunk or pad
+    transition, aimed at the target until laid down), output and target."""
+    directive = tokens[0]
+    if "->" not in tokens:
+        raise GraphFormatError("missing '->'")
+    arrow = tokens.index("->")
+    head, tail = tokens[1:arrow], tokens[arrow + 1:]
+    if len(head) % 2 != 1 or len(tail) != 1 \
+            or tuple(head[1::2]) not in GRAMMAR[directive]:
+        raise GraphFormatError(f"malformed {directive} line")
+    labels = dict(zip(head[1::2], head[2::2]))
+    src, target = _text_to_buffer(head[0]), _text_to_buffer(tail[0])
+    step = None
+    if "in" in labels:
+        chunk = _text_to_buffer(labels["in"])
+        if chunk not in CHUNK_PAIRS:
+            bad = next(p for p in chunk if p not in {x for x, _ in CHUNK_PAIRS})
+            raise GraphFormatError(f"chunk {bad!r} is not of the form xa")
+        step = Transition(src, target, chunk=chunk)
+    elif "pad" in labels:
+        consumed = labels["pad"][1:-1].partition(",")[2]
+        check_word(consumed)
+        if labels["pad"] != f"({PAD * len(consumed)},{consumed})":
+            raise GraphFormatError(f"malformed pad label {labels['pad']!r}")
+        step = Transition(src, target, pad=consumed, special=True)
+    output = labels.get("out")
+    check_word(output or "")
+    kind = "output" if step is None else "input"
+    if src not in graph.states or graph.states[src].kind != kind:
+        raise GraphFormatError(f"{directive} source {buffer_text(src)} is not "
+                               f"a declared {kind} state")
+    return src, step, output, target
+
+
 def parse_graph(text: str) -> TransducerGraph:
     """Parse the line-oriented graph format; raise GraphFormatError early.
 
     Structural requirements enforced here: a weights line first, unique
     state declarations, canonical buffer words, an initial state, nine
-    distinct chunk successors per input state, and resolvable transition
-    endpoints (a successor may be stored with swapped components).
+    distinct chunk successors per input state, transition lines shaped as
+    GRAMMAR says, and resolvable transition endpoints (a successor may be
+    stored with swapped components).  A bad line raises GraphFormatError
+    naming it, whatever the cause: bad words, non-triangular weights.
     """
     graph: TransducerGraph | None = None
-    pending_edges: list[tuple[int, list[str]]] = []
+    pending: list[tuple[int, list[str]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
-        kind = tokens[0]
-        if kind == "weights":
-            if graph is not None:
-                raise GraphFormatError(f"line {lineno}: repeated weights line")
-            graph = TransducerGraph(parse_weights(" ".join(tokens[1:])))
-            continue
-        if graph is None:
-            raise GraphFormatError(f"line {lineno}: weights line must come first")
-        if kind == "state":
-            if len(tokens) < 3 or tokens[2] not in ("input", "output"):
-                raise GraphFormatError(f"line {lineno}: malformed state line")
-            buffer = _text_to_buffer(tokens[1], f"line {lineno}")
-            flags = tokens[3:]
-            bad = [f for f in flags if f not in ("initial", "final")]
-            if bad:
-                raise GraphFormatError(f"line {lineno}: unknown flag {bad[0]!r}")
-            for comp in buffer:
-                if graph.forms.minimal_form(comp) != comp:
-                    raise GraphFormatError(
-                        f"line {lineno}: non-minimal buffer word {comp!r}")
-            graph.add_state(buffer, tokens[2], "initial" in flags,
-                            "final" in flags)
-        elif kind in ("edge", "special"):
-            pending_edges.append((lineno, tokens))
-        else:
-            raise GraphFormatError(f"line {lineno}: unknown directive {kind!r}")
-    if graph is None or not graph.states:
+        with _numbered(lineno):
+            directive = tokens[0]
+            if directive == "weights":
+                if graph is not None:
+                    raise GraphFormatError("repeated weights line")
+                graph = TransducerGraph(parse_weights(" ".join(tokens[1:])))
+            elif graph is None:
+                raise GraphFormatError("weights line must come first")
+            elif directive == "state":
+                if len(tokens) < 3 or tokens[2] not in ("input", "output"):
+                    raise GraphFormatError("malformed state line")
+                buffer = _text_to_buffer(tokens[1])
+                flags = tokens[3:]
+                bad = [f for f in flags if f not in ("initial", "final")]
+                if bad:
+                    raise GraphFormatError(f"unknown flag {bad[0]!r}")
+                for comp in buffer:
+                    if graph.forms.minimal_form(comp) != comp:
+                        raise GraphFormatError(f"non-minimal buffer word {comp!r}")
+                graph.add_state(buffer, tokens[2], "initial" in flags,
+                                "final" in flags)
+            elif directive in GRAMMAR:
+                pending.append((lineno, tokens))
+            else:
+                raise GraphFormatError(f"unknown directive {directive!r}")
+    if graph is None:
         raise GraphFormatError("no initial state")
     graph.initial_state()
 
-    # First pass: materialize implicit output states so later lines can
-    # reference them as successors.
+    # First pass: read every transition line and materialize the implicit
+    # output state of each line that consumes and emits, so later lines
+    # can reference it as a successor.
     parsed = []
-    for lineno, tokens in pending_edges:
-        where = f"line {lineno}"
-        try:
-            arrow = tokens.index("->")
-        except ValueError:
-            raise GraphFormatError(f"{where}: missing '->'") from None
-        head, target_text = tokens[:arrow], tokens[arrow + 1]
-        target = _text_to_buffer(target_text, where)
-        if tokens[0] == "edge" and len(head) == 4 and head[2] == "out":
-            # explicit output transition from a declared output state
-            src = _text_to_buffer(head[1], where)
-            output = head[3]
-            check_word(output)
-            if src not in graph.states or graph.states[src].kind != "output":
-                raise GraphFormatError(
-                    f"{where}: edge source {buffer_text(src)} is not a "
-                    f"declared output state")
-            parsed.append((where, "out", src, None, output, target, None))
-        elif tokens[0] == "edge":
-            if len(head) < 4 or head[2] != "in":
-                raise GraphFormatError(f"{where}: malformed edge line")
-            src = _text_to_buffer(head[1], where)
-            chunk = _text_to_buffer(head[3], where)
-            for part in chunk:
-                if len(part) != 2 or part[0] not in "bcd" or part[1] != "a":
-                    raise GraphFormatError(
-                        f"{where}: chunk {part!r} is not of the form xa")
-            output = None
-            if len(head) > 4:
-                if head[4] != "out" or len(head) != 6:
-                    raise GraphFormatError(f"{where}: malformed edge line")
-                output = head[5]
-                check_word(output)
-            if src not in graph.states or graph.states[src].kind != "input":
-                raise GraphFormatError(
-                    f"{where}: edge source {buffer_text(src)} is not a "
-                    f"declared input state")
-            mid = None
-            if output is not None:
+    for lineno, tokens in pending:
+        with _numbered(lineno):
+            src, step, output, target = _read_transition(graph, tokens)
+            state = src
+            if step is not None and output is not None:
                 # implicit output vertices are keyed by their exact buffer;
                 # a swapped pair is a different vertex with its own label
-                mid = graph.successor(src, chunk)
-                if mid not in graph.states:
-                    graph.add_state(mid, "output")
-            parsed.append((where, "edge", src, chunk, output, target, mid))
-        else:
-            if len(head) != 6 or head[2] != "pad" or head[4] != "out":
-                raise GraphFormatError(f"{where}: malformed special line")
-            src = _text_to_buffer(head[1], where)
-            pad_text = head[3]
-            if not (pad_text.startswith("(") and pad_text.endswith(")")):
-                raise GraphFormatError(f"{where}: malformed pad label")
-            pads, _, consumed = pad_text[1:-1].partition(",")
-            check_word(consumed)
-            if pads != PAD * len(consumed):
-                raise GraphFormatError(
-                    f"{where}: padding must be {PAD!r} repeated |u| times")
-            output = head[5]
-            check_word(output)
-            if src not in graph.states or graph.states[src].kind != "input":
-                raise GraphFormatError(
-                    f"{where}: special source is not a declared input state")
-            mid = graph.successor(src, ("", consumed))
-            if mid not in graph.states:
-                graph.add_state(mid, "output")
-            parsed.append((where, "special", src, consumed, output, target,
-                           mid))
+                state = step.dst = graph.successor(src, step.consumed_words())
+                if state not in graph.states:
+                    graph.add_state(state, "output")
+                elif graph.states[state].kind != "output":
+                    raise GraphFormatError(f"middle buffer {buffer_text(state)} "
+                                           f"is a declared input state")
+            parsed.append((lineno, step, state, output, target))
 
-    # Second pass: resolve successors and lay down transitions.  Each
-    # output state gets one output transition; a line that repeats it (a
-    # special whose buffer an edge already emits from, say) adds none.  The
-    # output is special only if every line giving it is, whatever the order.
-    def add_output(where: str, state: Buffer, output: str, resolved: Buffer,
-                   special: bool = False) -> None:
-        prior = graph.output_transition(state)
-        if prior is None:
-            graph.add_transition(
-                Transition(state, resolved, output=output, special=special))
-        elif (prior.output, prior.dst) != (output, resolved):
-            raise GraphFormatError(
-                f"{where}: duplicate state {buffer_text(state)} with "
-                f"conflicting output transitions")
-        elif not special:
-            prior.special = False
-
-    for where, kind, src, label, output, target, mid in parsed:
-        resolved = graph.resolve(target)
-        if resolved is None:
-            raise GraphFormatError(
-                f"{where}: dangling endpoint {buffer_text(target)}")
-        if kind == "out":
-            add_output(where, src, output, resolved)
-        elif kind == "edge":
+    # Second pass: resolve targets and lay down transitions.  Each output
+    # state gets one output transition; a line that repeats it (a special
+    # whose buffer an edge already emits from, say) adds none.  The output
+    # is special only if every line giving it is, whatever the order.
+    for lineno, step, state, output, target in parsed:
+        with _numbered(lineno):
+            dst = graph.resolve(target)
+            if dst is None:
+                raise GraphFormatError(f"dangling endpoint {buffer_text(target)}")
+            if step is not None:
+                if output is None:
+                    # a chunk reaches an output state only as its middle
+                    # buffer, the one way the serialization can write it
+                    if graph.states[dst].kind == "output" and dst != (
+                            mid := graph.successor(state, step.chunk)):
+                        raise GraphFormatError(
+                            f"edge reaches output state {buffer_text(dst)}, "
+                            f"not its middle buffer {buffer_text(mid)}")
+                    step.dst = dst
+                graph.add_transition(step)
             if output is None:
-                graph.add_transition(Transition(src, resolved, chunk=label))
                 continue
-            graph.add_transition(Transition(src, mid, chunk=label))
-            add_output(where, mid, output, resolved)
-        else:
-            graph.add_transition(
-                Transition(src, mid, pad=label, special=True))
-            add_output(where, mid, output, resolved, special=True)
+            special = step is not None and step.special
+            prior = graph.output_transition(state)
+            if prior is None:
+                graph.add_transition(
+                    Transition(state, dst, output=output, special=special))
+            elif (prior.output, prior.dst) != (output, dst):
+                raise GraphFormatError(
+                    f"duplicate state {buffer_text(state)} with conflicting "
+                    f"output transitions")
+            elif not special:
+                prior.special = False
 
     for st in graph.states.values():
-        if st.kind != "input":
-            continue
         chunks = [t.chunk for t in graph.by_source.get(st.buffer, ())
                   if t.chunk is not None]
-        if len(chunks) != 9 or len(set(chunks)) != 9:
+        if st.kind == "input" and (len(chunks) != 9 or len(set(chunks)) != 9):
             raise GraphFormatError(
                 f"wrong successor count at {buffer_text(st.buffer)}: "
                 f"{len(chunks)} chunk edges, {len(set(chunks))} distinct")
@@ -424,9 +421,9 @@ def verify_graph(graph: TransducerGraph) -> VerificationReport:
     Every transition must reach graph.successor of its source, reading
     its chunk or pad and writing its output; output labels must also be
     parity-even and weight-minimal, pads must lie in the closure of b at
-    a section-pair buffer, and input states need nine distinct
-    successors.  A successor stored with swapped components is accepted
-    and counted, not flagged.
+    a section-pair buffer, input states need nine distinct successors
+    and no output, and output states exactly one output.  A successor
+    stored with swapped components is accepted and counted, not flagged.
     """
     report = VerificationReport()
     report.input_states = sum(1 for s in graph.states.values()
@@ -473,18 +470,18 @@ def verify_graph(graph: TransducerGraph) -> VerificationReport:
 
     for st in graph.states.values():
         leaving = graph.by_source.get(st.buffer, ())
+        outs = sum(1 for t in leaving if t.output is not None)
+        name = f"{st.kind} state {buffer_text(st.buffer)}"
         if st.kind == "input":
             chunks = set(t.chunk for t in leaving if t.chunk is not None)
             if len(chunks) != 9:
                 report.violations.append(
-                    f"input state {buffer_text(st.buffer)} has "
-                    f"{len(chunks)} distinct chunk successors, expected 9")
-        else:
-            outs = [t for t in leaving if t.output is not None]
-            if len(outs) != 1:
-                report.violations.append(
-                    f"output state {buffer_text(st.buffer)} has "
-                    f"{len(outs)} output transitions, expected 1")
+                    f"{name} has {len(chunks)} distinct chunk successors, "
+                    f"expected 9")
+        expected = 1 if st.kind == "output" else 0
+        if outs != expected:
+            report.violations.append(
+                f"{name} has {outs} output transitions, expected {expected}")
     return report
 
 

@@ -15,15 +15,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .automaton import Transition, TransducerGraph
+from .automaton import CHUNK_PAIRS, Buffer, Transition, TransducerGraph
 from .elements import element_of, mul
 from .minforms import MinimalForms, SCALE, Weight, check_weights, is_triangular, word_weight
 from .words import (free_reduce, in_B, in_H, pair_in_section_image, psi,
                     psi_preimage_basic, rev)
-
-Buffer = tuple[str, str]
-
-CHUNK_PAIRS = [(x + "a", y + "a") for x in "dcb" for y in "dcb"]
 
 
 @dataclass

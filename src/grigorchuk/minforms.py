@@ -119,10 +119,13 @@ def word_weight(word: str, w: Weight) -> int:
 
 
 class MinimalForms:
-    """Canonical minimal forms for one weight, computed incrementally."""
+    """Canonical minimal forms for one triangular weight, computed incrementally."""
 
     def __init__(self, weights: Weight, element_budget: int = 10_000_000):
         check_weights(weights)
+        if not is_triangular(weights):
+            raise ValueError("weights must be triangular: each of b, c, d "
+                             "at most the sum of the other two")
         self.weights = dict(weights)
         self.element_budget = element_budget
         self.table: dict[Element, str] = {}

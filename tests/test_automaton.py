@@ -5,6 +5,7 @@ import importlib.util
 import math
 import pathlib
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -79,6 +80,22 @@ SHARED_HEAVY_MID = (
     + SILENT_LOOPS.replace("edge (-,-) in (da,da) -> (-,-)\n", "")
     .replace("in (ca,ca) ->", "in (ca,ca) out ca ->")
     + SILENT_LOOPS.replace("(-,-)", "(da,-)"))
+
+# Two input states with nine silent loops each, except that the (da,da)
+# edge at (-,-) also emits, so its middle buffer is the input state (da,da).
+INPUT_MID = (
+    HEADER + "state (da,da) input\n"
+    + SILENT_LOOPS.replace("in (da,da) ->", "in (da,da) out cacacaca ->")
+    + SILENT_LOOPS.replace("(-,-)", "(da,da)"))
+
+# A special whose middle buffer (-,b) is a declared input state.
+INPUT_PAD_MID = (HEADER + "state (-,b) input\n" + SILENT_LOOPS
+                 + SILENT_LOOPS.replace("(-,-)", "(-,b)")
+                 + "special (-,-) pad (_,b) out d -> (-,-)\n")
+
+# Characters a mutated line may gain: the format's own, a digit and a
+# letter outside the alphabet.
+MUTATION_CHARS = "abcd-_(),>#3x"
 
 
 # The fixture's witness cycle at its own weights, as (source, label) steps
@@ -286,6 +303,84 @@ class TestParsing:
         assert serialize_graph(graph) == serialize_graph(
             parse_graph(SHARED_HEAVY_MID + HEAVY_EDGE + HEAVY_SPECIAL))
 
+    @pytest.mark.parametrize("line, message", [
+        ("edge (-,-) in (da,da) -> (-,-) junk", "malformed edge line"),
+        ("edge (-,-) in (da,da) ->", "malformed edge line"),
+        ("edge (-,-) in (da,da) out caca (-,-)", "missing '->'"),
+        ("edge (-,-) in (da,da) out cxca -> (-,-)", "invalid letter 'x'"),
+        ("edge (-,-) in (d-,da) -> (-,-)", "invalid letter '-'"),
+        ("edge (-,-) out ca -> (-,-)", "edge source (-,-) is not a "
+                                        "declared output state"),
+        ("special (-,-) pad (__,b) out d -> (-,-)", "malformed pad label"),
+        ("state (-,-) input", "duplicate state (-,-)"),
+    ], ids=["trailing-token", "bare-arrow", "missing-arrow", "output-letter",
+            "buffer-letter", "source-kind", "pad-label", "duplicate-state"])
+    def test_errors_name_the_line(self, line, message):
+        text = HEADER + line + "\n" + SILENT_LOOPS
+        with pytest.raises(GraphFormatError) as info:
+            parse_graph(text)
+        assert str(info.value).startswith("line 3: ")
+        assert message in str(info.value)
+
+    def test_non_triangular_weights_line(self):
+        text = TOY.replace("c=1", "c=5")
+        with pytest.raises(GraphFormatError,
+                           match="^line 1: weights must be triangular"):
+            parse_graph(text)
+
+    @pytest.mark.parametrize("text, lineno, mid", [
+        (INPUT_MID, 4, "(da,da)"), (INPUT_PAD_MID, 22, "(-,b)")],
+        ids=["edge", "special"])
+    def test_middle_buffer_must_not_be_input_state(self, text, lineno, mid):
+        with pytest.raises(GraphFormatError,
+                           match=rf"^line {lineno}: middle buffer "
+                                 rf"{re.escape(mid)} is a declared input"):
+            parse_graph(text)
+
+    def test_chunk_edge_into_other_output_state(self, fixture_text):
+        # (daca,a) is the middle buffer of other edges; written through it,
+        # this edge would reparse at its own middle buffer (da,da)
+        text = fixture_text.replace("edge (-,-) in (da,da) -> (da,da)",
+                                    "edge (-,-) in (da,da) -> (daca,a)")
+        with pytest.raises(GraphFormatError,
+                           match=r"^line 14: edge reaches output state "
+                                 r"\(daca,a\), not its middle buffer"):
+            parse_graph(text)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_mutated_line_parses_or_raises_format_error(self, fixture_text,
+                                                        data):
+        # one non-weights line gets one token deleted, inserted, replaced
+        # or edited by a character, or loses its tail
+        lines = fixture_text.splitlines()
+        pick = st.integers(1, len(lines) - 1)
+        i = data.draw(pick)
+        tokens = lines[i].split()
+        k = data.draw(st.integers(0, len(tokens) - 1))
+        donor = data.draw(st.sampled_from(lines[data.draw(pick)].split()))
+        edit = data.draw(st.sampled_from(
+            ["delete", "insert", "replace", "char", "truncate"]))
+        if edit == "delete":
+            del tokens[k]
+        elif edit == "insert":
+            tokens.insert(k + data.draw(st.integers(0, 1)), donor)
+        elif edit == "replace":
+            tokens[k] = donor
+        elif edit == "char":
+            j = data.draw(st.integers(0, len(tokens[k]) - 1))
+            ch = data.draw(st.sampled_from(MUTATION_CHARS))
+            tokens[k] = tokens[k][:j] + ch + tokens[k][j + 1:]
+        else:
+            tokens = tokens[:k + 1]
+        lines[i] = " ".join(tokens)
+        try:
+            graph = parse_graph("\n".join(lines) + "\n")
+        except GraphFormatError:
+            return
+        once = serialize_graph(graph)
+        assert serialize_graph(parse_graph(once)) == once
+
     def test_special_conflicting_output(self):
         text = SHARED_MID.replace("pad (_,b) out d", "pad (_,b) out ada")
         with pytest.raises(GraphFormatError,
@@ -325,6 +420,16 @@ class TestVerification:
         graph.special_transitions(("", ""))["b"].dst = ("", "d")
         assert [v for v in verify_graph(graph).violations if "pad" in v] \
             == ["pad 'b' at (-,-) should reach (-,b), found (-,d)"]
+
+
+    def test_input_state_with_output_caught(self):
+        # the middle buffer of INPUT_MID's emitting edge, built in code:
+        # the chunk edge reaches the input state, which then emits
+        graph = parse_graph(INPUT_MID.replace("out cacacaca ", ""))
+        graph.add_transition(
+            Transition(("da", "da"), ("", ""), output="cacacaca"))
+        assert "input state (da,da) has 1 output transitions, expected 0" \
+            in verify_graph(graph).violations
 
 
 class TestCycleRatio:

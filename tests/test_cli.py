@@ -44,6 +44,14 @@ class TestWordCommands:
                          "--weights", "a=1,b=3.33,c=2.8,d=1.06")
         assert (rc, out) == (0, "adad\n")
 
+    @pytest.mark.parametrize("command", [("minform", "c"),
+                                         ("growth", "--max-radius", "2")],
+                             ids=["minform", "growth"])
+    def test_non_triangular_weights_rejected(self, capsys, command):
+        rc, _, err = run(capsys, *command, "--weights", "a=1,b=1,c=5,d=1")
+        assert rc == 1
+        assert "weights must be triangular" in err
+
     def test_trivial(self, capsys):
         assert run(capsys, "trivial", "adadadad") == (0, "true\n", "")
         assert run(capsys, "trivial", "ad") == (0, "false\n", "")

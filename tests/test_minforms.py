@@ -41,6 +41,12 @@ class TestWeights:
         assert not is_triangular({"a": SCALE, "b": 5 * SCALE,
                                   "c": SCALE, "d": SCALE})
 
+    def test_forms_require_triangular_weights(self):
+        # the search over reduced words would settle c at weight 5, though
+        # bd spells the same element at weight 2
+        with pytest.raises(ValueError, match="triangular"):
+            MinimalForms(parse_weights("a=1 b=1 c=5 d=1"))
+
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_weights("a=1 b=x")

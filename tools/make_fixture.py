@@ -28,13 +28,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from grigorchuk.automaton import Transition, TransducerGraph, serialize_graph  # noqa: E402
+from grigorchuk.automaton import (CHUNK_PAIRS, Transition, TransducerGraph,  # noqa: E402
+                                  serialize_graph)
 from grigorchuk.minforms import TUNED_WEIGHTS  # noqa: E402
 from grigorchuk.words import (free_reduce, in_B, pair_in_section_image,  # noqa: E402
                               psi_preimage_basic, rev, sigma)
 from grigorchuk.elements import element_of  # noqa: E402
 
-CHUNKS = [(x, y) for x in "dcb" for y in "dcb"]
 
 # (input state) -> nine rows (buffer, kind, printed label, printed successor)
 TABLE: list[tuple[tuple[str, str], list]] = [
@@ -186,8 +186,7 @@ def build_fixture() -> tuple[TransducerGraph, dict[str, int]]:
     out_edges: dict[tuple[str, str], Transition] = {}
     for state, rows in TABLE:
         for idx, (buffer, kind, label, succ) in enumerate(rows):
-            x, y = CHUNKS[idx]
-            chunk = (x + "a", y + "a")
+            chunk = CHUNK_PAIRS[idx]
             expect = graph.successor(state, chunk)
             if kind == "IN":
                 assert succ in (expect, (expect[1], expect[0])), (state, chunk)
