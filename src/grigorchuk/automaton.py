@@ -651,10 +651,11 @@ def transduce(graph: TransducerGraph, pair: Buffer) -> TransduceResult:
     chunks before the second.  The run then alternates chunk consumption
     with output chains, accepting swapped successor orientations by
     emitting the mirror conjugate a*v*a.  When the first stream is empty
-    the residue is closed off through a special transition when one
-    matches, and otherwise through the baseline preimage of the remaining
-    buffer, whose size is bounded by the graph's buffers plus eight
-    letters.
+    the residue is closed off through a special transition when the run
+    sits unmirrored at the empty buffer, the only state specials are read
+    (or built) at, and one matches; otherwise through the baseline
+    preimage of the remaining buffer, whose size is bounded by the graph's
+    buffers plus eight letters.
     """
     w0 = graph.forms.minimal_form(pair[0])
     w1 = graph.forms.minimal_form(pair[1])

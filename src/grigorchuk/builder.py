@@ -7,7 +7,10 @@ emits that word and hangs one edge at the shrunken buffer; otherwise the
 state consumes chunks and hangs nine edges at the extended buffers.
 Quality-driven typing steers cycles toward a low output-to-input weight
 ratio; the finished machine's exact ratio is measured afterwards with
-max_cycle_ratio.  Special end-of-input transitions are attached last.
+max_cycle_ratio.  Special end-of-input transitions are attached last, at
+the empty buffer only: transduce reads them nowhere else, and
+preimage_constant closes runs through the baseline preimage, so no
+certified number depends on a special.
 """
 
 from __future__ import annotations
@@ -18,8 +21,10 @@ from dataclasses import dataclass
 from .automaton import CHUNK_PAIRS, Buffer, Transition, TransducerGraph
 from .elements import element_of, mul
 from .minforms import MinimalForms, SCALE, Weight, check_weights, is_triangular, word_weight
-from .words import (free_reduce, in_B, in_H, pair_in_section_image, psi,
-                    psi_preimage_basic, rev)
+from .words import in_B, in_H, psi, psi_preimage_basic, rev
+
+# specials are the nonempty canonical forms in B of at most this many letters
+SPECIAL_LEN = 8
 
 
 @dataclass
@@ -28,7 +33,6 @@ class BuildParams:
     delta: float = 0.01
     eta_prime: float = 4.0
     max_len: int = 20
-    special_len: int = 8
     budget: int = 5000
 
     def validate(self) -> None:
@@ -77,7 +81,8 @@ def build(params: BuildParams, log: list[str] | None = None) -> TransducerGraph:
 
     Raises RuntimeError("budget exceeded") if the frontier does not close
     up within the state budget, and RuntimeError("no special preimage
-    found within bound") if a special label resists the bounded search.
+    found within bound") if a special label, attached at the empty buffer
+    only since the runner reads specials nowhere else, is too long.
     """
     params.validate()
     graph = TransducerGraph(params.initial_weight)
@@ -192,36 +197,30 @@ def build(params: BuildParams, log: list[str] | None = None) -> TransducerGraph:
             if log is not None:
                 log.append(f"input {buf}")
 
-    specials = [u for u in forms.enumerate_forms(params.special_len, in_B) if u]
     attached = 0
-    for st in list(graph.states.values()):
-        if st.kind != "input" or not pair_in_section_image(*st.buffer):
+    for u in forms.enumerate_forms(SPECIAL_LEN, in_B):
+        if not u:
             continue
-        b0, b1 = st.buffer
-        for u in specials:
-            raw = psi_preimage_basic(b0, free_reduce(b1 + u))
-            label = forms.minimal_form(raw)
-            bound = 2 * (len(b0) + len(b1) + params.special_len) + 12
-            if len(label) > bound:
-                raise RuntimeError(
-                    f"no special preimage found within bound at {st.buffer} "
-                    f"for {u!r}")
-            mid = graph.successor(st.buffer, ("", u))
-            if mid in graph.states:
-                existing = graph.output_transition(mid)
-                if existing is None or existing.output != label \
-                        or existing.dst != ("", ""):
-                    if log is not None:
-                        log.append(f"special {u!r} at {st.buffer} skipped: "
-                                   f"buffer {mid} already in use")
-                    continue
-            else:
-                graph.add_state(mid, "output")
-                graph.add_transition(
-                    Transition(mid, ("", ""), output=label, special=True))
+        label = forms.minimal_form(psi_preimage_basic("", u))
+        if len(label) > 2 * SPECIAL_LEN + 12:
+            raise RuntimeError(
+                f"no special preimage found within bound at ('', '') "
+                f"for {u!r}")
+        mid = graph.successor(("", ""), ("", u))
+        if mid in graph.states:
+            existing = graph.output_transition(mid)
+            if existing is None or existing.output != label \
+                    or existing.dst != ("", ""):
+                if log is not None:
+                    log.append(f"special {u!r} at ('', '') skipped: "
+                               f"buffer {mid} already in use")
+                continue
+        else:
+            graph.add_state(mid, "output")
             graph.add_transition(
-                Transition(st.buffer, mid, pad=u, special=True))
-            attached += 1
+                Transition(mid, ("", ""), output=label, special=True))
+        graph.add_transition(Transition(("", ""), mid, pad=u, special=True))
+        attached += 1
     if log is not None:
         n_in = sum(1 for s in graph.states.values() if s.kind == "input")
         log.append(f"states: {len(graph.states)} ({n_in} input), "

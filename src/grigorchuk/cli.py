@@ -110,18 +110,18 @@ def _cmd_growth(args) -> int:
         tables = [dict(UNIT_WEIGHTS), dict(TUNED_WEIGHTS)]
     else:
         tables = [_load_weights(args.weights)]
+    rows = [_growth_rows(w, args.max_radius, args.subgroup) for w in tables]
     if args.json:
-        payload = [{"weights": _weights_json(w),
-                    "rows": _growth_rows(w, args.max_radius, args.subgroup)}
-                   for w in tables]
-        print(json.dumps({"tables": payload}))
+        print(json.dumps({"tables": [
+            {"weights": _weights_json(w), "rows": r}
+            for w, r in zip(tables, rows)]}))
         return 0
-    for i, w in enumerate(tables):
+    for i, (w, r) in enumerate(zip(tables, rows)):
         if i:
             print()
         print(f"# {format_weights(w)}")
         print("radius,count")
-        for radius, count in _growth_rows(w, args.max_radius, args.subgroup):
+        for radius, count in r:
             print(f"{radius},{count}")
     return 0
 
@@ -229,7 +229,6 @@ def _cmd_build(args) -> int:
         delta=args.delta,
         eta_prime=args.eta_prime,
         max_len=args.max_len,
-        special_len=args.special_len,
         budget=args.budget,
     )
     log: list[str] = []
@@ -347,7 +346,6 @@ def _parser() -> argparse.ArgumentParser:
     q.add_argument("--delta", type=float, default=0.01)
     q.add_argument("--eta-prime", type=float, default=4.0)
     q.add_argument("--max-len", type=int, default=20)
-    q.add_argument("--special-len", type=int, default=8)
     q.add_argument("--budget", type=int, default=5000)
     q.add_argument("--out", required=True)
     q.set_defaults(fn=_cmd_build)

@@ -351,10 +351,10 @@ class TestParsing:
     @given(data=st.data())
     def test_mutated_line_parses_or_raises_format_error(self, fixture_text,
                                                         data):
-        # one non-weights line gets one token deleted, inserted, replaced
-        # or edited by a character, or loses its tail
+        # one line, the weights line included, gets one token deleted,
+        # inserted, replaced or edited by a character, or loses its tail
         lines = fixture_text.splitlines()
-        pick = st.integers(1, len(lines) - 1)
+        pick = st.integers(0, len(lines) - 1)
         i = data.draw(pick)
         tokens = lines[i].split()
         k = data.draw(st.integers(0, len(tokens) - 1))

@@ -156,11 +156,18 @@ class TestBuild:
         (dict(initial_weight=parse_weights("a=1 b=2.5 c=2.2 d=1.4"),
               max_len=14, eta_prime=3.6),
          "ab680534f7dd0a2d7de2fc780f758519fbee6464eb52abc62229d8e809c5a589"),
-    ], ids=["valley-quality", "b3.33-c2.8-d1.06", "unit", "eta-prime-3.6"])
+        (dict(initial_weight=VALLEY, max_len=10, eta_prime=3.5),
+         "71ea5d72d86c9ccb98a8feeef6a79634e089f65837408dea0116fd7135094514"),
+    ], ids=["valley-quality", "b3.33-c2.8-d1.06", "unit", "eta-prime-3.6",
+            "valley-eta-prime-3.5"])
     def test_output_digest(self, kwargs, digest):
         graph = build(BuildParams(**kwargs))
         text = serialize_graph(graph)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+        # specials hang at the empty buffer, the one state transduce
+        # reads them from
+        assert all(t.src == ("", "")
+                   for t in graph.transitions if t.pad is not None)
         # the file verifies as the machine it was written from
         built, reparsed = verify_graph(graph), verify_graph(parse_graph(text))
         assert (reparsed.ok, reparsed.violations, reparsed.swapped_successors) \

@@ -48,8 +48,9 @@ class TestWordCommands:
                                          ("growth", "--max-radius", "2")],
                              ids=["minform", "growth"])
     def test_non_triangular_weights_rejected(self, capsys, command):
-        rc, _, err = run(capsys, *command, "--weights", "a=1,b=1,c=5,d=1")
+        rc, out, err = run(capsys, *command, "--weights", "a=1,b=1,c=5,d=1")
         assert rc == 1
+        assert out == ""
         assert "weights must be triangular" in err
 
     def test_trivial(self, capsys):

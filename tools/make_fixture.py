@@ -30,6 +30,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from grigorchuk.automaton import (CHUNK_PAIRS, Transition, TransducerGraph,  # noqa: E402
                                   serialize_graph)
+from grigorchuk.builder import SPECIAL_LEN  # noqa: E402
 from grigorchuk.minforms import TUNED_WEIGHTS  # noqa: E402
 from grigorchuk.words import (free_reduce, in_B, pair_in_section_image,  # noqa: E402
                               psi_preimage_basic, rev, sigma)
@@ -227,7 +228,7 @@ def build_fixture() -> tuple[TransducerGraph, dict[str, int]]:
                 prior.output, prior.dst = word, succ
             graph.add_transition(Transition(state, buffer, chunk=chunk))
 
-    specials = [u for u in forms.enumerate_forms(8, in_B) if u]
+    specials = [u for u in forms.enumerate_forms(SPECIAL_LEN, in_B) if u]
     for u in specials:
         label = forms.minimal_form(sigma(u))
         mid = ("", u)
