@@ -192,7 +192,7 @@ class TransducerGraph:
 
     def input_transitions(self, src: Buffer) -> dict[Buffer, Transition]:
         return {t.chunk: t for t in self.by_source.get(src, ())
-                if t.chunk is not None and not t.special}
+                if t.chunk is not None}
 
     def output_transition(self, src: Buffer) -> Transition | None:
         for t in self.by_source.get(src, ()):
@@ -202,7 +202,7 @@ class TransducerGraph:
 
     def special_transitions(self, src: Buffer) -> dict[str, Transition]:
         return {t.pad: t for t in self.by_source.get(src, ())
-                if t.special and t.pad is not None}
+                if t.pad is not None}
 
 
 # --- parsing and serialization ---------------------------------------------
@@ -375,7 +375,7 @@ def serialize_graph(graph: TransducerGraph) -> str:
     """
     lines = ["weights " + format_weights(graph.weights)]
     chunk_covered = {t.dst for t in graph.transitions
-                     if t.chunk is not None and not t.special
+                     if t.chunk is not None
                      and graph.states[t.dst].kind == "output"}
     for st in graph.states.values():
         if st.kind == "input":
@@ -388,7 +388,7 @@ def serialize_graph(graph: TransducerGraph) -> str:
             if out is not None and not out.special:
                 lines.append(f"state {buffer_text(st.buffer)} output")
     for t in graph.transitions:
-        if t.chunk is not None and not t.special:
+        if t.chunk is not None:
             out = graph.output_transition(t.dst) \
                 if graph.states[t.dst].kind == "output" else None
             if out is None:
@@ -405,7 +405,7 @@ def serialize_graph(graph: TransducerGraph) -> str:
             lines.append(f"edge {buffer_text(t.src)} out {t.output} -> "
                          f"{buffer_text(t.dst)}")
     for t in graph.transitions:
-        if t.special and t.pad is not None:
+        if t.pad is not None:
             out = graph.output_transition(t.dst)
             lines.append(f"special {buffer_text(t.src)} pad "
                          f"({PAD * len(t.pad)},{t.pad}) out {out.output} -> "

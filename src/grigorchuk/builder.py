@@ -10,7 +10,8 @@ ratio; the finished machine's exact ratio is measured afterwards with
 max_cycle_ratio.  Special end-of-input transitions are attached last, at
 the empty buffer only: transduce reads them nowhere else, and
 preimage_constant closes runs through the baseline preimage, so no
-certified number depends on a special.
+certified number depends on a special.  attach_specials writes them, for
+build and for tools/make_fixture.py alike.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 from .automaton import CHUNK_PAIRS, Buffer, Transition, TransducerGraph
 from .elements import element_of, mul
-from .minforms import MinimalForms, SCALE, Weight, check_weights, is_triangular, word_weight
+from .minforms import MinimalForms, SCALE, Weight, check_weights, word_weight
 from .words import in_B, in_H, psi, psi_preimage_basic, rev
 
 # specials are the nonempty canonical forms in B of at most this many letters
@@ -43,8 +44,6 @@ class BuildParams:
             raise ValueError("eta_prime must lie in (2, 4]")
         if self.max_len < 4:
             raise ValueError("max_len must be at least 4")
-        if not is_triangular(self.initial_weight):
-            raise ValueError("initial weight must be triangular")
 
 
 def _score(in0: int, in1: int, out0: int, out1: int, v_weight: int,
@@ -81,16 +80,15 @@ def build(params: BuildParams, log: list[str] | None = None) -> TransducerGraph:
 
     Raises RuntimeError("budget exceeded") if the frontier does not close
     up within the state budget, and RuntimeError("no special preimage
-    found within bound") if a special label, attached at the empty buffer
-    only since the runner reads specials nowhere else, is too long.
+    found within bound") if a special's label is too long.
     """
     params.validate()
     graph = TransducerGraph(params.initial_weight)
     forms = graph.forms
     weights = graph.weights
+    log = [] if log is None else log
     candidates = _candidates(forms, params.max_len)
-    if log is not None:
-        log.append(f"candidate outputs: {len(candidates)}")
+    log.append(f"candidate outputs: {len(candidates)}")
     threshold = 1.0 / params.eta_prime
     delta = params.delta
 
@@ -156,14 +154,18 @@ def build(params: BuildParams, log: list[str] | None = None) -> TransducerGraph:
     # Chunk successors must be materialized under their exact buffer (the
     # file format recomputes them on reparse), so only successors of
     # output emissions may be folded onto an existing swapped twin.
-    graph.add_state(("", ""), "input", initial=True, final=True)
     chunk_targets: set[Buffer] = set()
-    for chunk in CHUNK_PAIRS:
-        succ = graph.successor(("", ""), chunk)
-        graph.add_transition(Transition(("", ""), succ, chunk=chunk))
-        chunk_targets.add(succ)
-        queue.append(succ)
 
+    def expand(buf: Buffer) -> None:
+        """Hang the nine chunk edges of the input state buf."""
+        for chunk in CHUNK_PAIRS:
+            succ = graph.successor(buf, chunk)
+            graph.add_transition(Transition(buf, succ, chunk=chunk))
+            chunk_targets.add(succ)
+            queue.append(succ)
+
+    graph.add_state(("", ""), "input", initial=True, final=True)
+    expand(("", ""))
     while queue:
         buf = queue.popleft()
         if buf in graph.states:
@@ -175,7 +177,7 @@ def build(params: BuildParams, log: list[str] | None = None) -> TransducerGraph:
             continue
         if len(graph.states) >= params.budget:
             raise RuntimeError("budget exceeded")
-        choice = None if buf == ("", "") else best_output(buf)
+        choice = best_output(buf)
         if choice is not None:
             cand, succ, q = choice
             graph.add_state(buf, "output")
@@ -185,18 +187,26 @@ def build(params: BuildParams, log: list[str] | None = None) -> TransducerGraph:
             if dst == succ:
                 waiting.setdefault(succ, []).append(out)
                 queue.append(succ)
-            if log is not None:
-                log.append(f"output {buf} emits {cand.word} (q={q:.3f})")
+            log.append(f"output {buf} emits {cand.word} (q={q:.3f})")
         else:
             graph.add_state(buf, "input")
-            for chunk in CHUNK_PAIRS:
-                succ = graph.successor(buf, chunk)
-                graph.add_transition(Transition(buf, succ, chunk=chunk))
-                chunk_targets.add(succ)
-                queue.append(succ)
-            if log is not None:
-                log.append(f"input {buf}")
+            expand(buf)
+            log.append(f"input {buf}")
 
+    attached = attach_specials(graph, log)
+    n_in = sum(1 for s in graph.states.values() if s.kind == "input")
+    log.append(f"states: {len(graph.states)} ({n_in} input), "
+               f"specials attached: {attached}")
+    log.append(f"candidates scanned: {scanned}")
+    return graph
+
+
+def attach_specials(graph: TransducerGraph, log: list[str]) -> int:
+    """Attach a special at the empty buffer for each nonempty form in B
+    of at most SPECIAL_LEN letters, labelled by its baseline preimage;
+    log each one skipped because its middle buffer emits something else.
+    Returns the number attached."""
+    forms = graph.forms
     attached = 0
     for u in forms.enumerate_forms(SPECIAL_LEN, in_B):
         if not u:
@@ -211,9 +221,8 @@ def build(params: BuildParams, log: list[str] | None = None) -> TransducerGraph:
             existing = graph.output_transition(mid)
             if existing is None or existing.output != label \
                     or existing.dst != ("", ""):
-                if log is not None:
-                    log.append(f"special {u!r} at ('', '') skipped: "
-                               f"buffer {mid} already in use")
+                log.append(f"special {u!r} at ('', '') skipped: "
+                           f"buffer {mid} already in use")
                 continue
         else:
             graph.add_state(mid, "output")
@@ -221,9 +230,4 @@ def build(params: BuildParams, log: list[str] | None = None) -> TransducerGraph:
                 Transition(mid, ("", ""), output=label, special=True))
         graph.add_transition(Transition(("", ""), mid, pad=u, special=True))
         attached += 1
-    if log is not None:
-        n_in = sum(1 for s in graph.states.values() if s.kind == "input")
-        log.append(f"states: {len(graph.states)} ({n_in} input), "
-                   f"specials attached: {attached}")
-        log.append(f"candidates scanned: {scanned}")
-    return graph
+    return attached

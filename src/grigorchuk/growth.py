@@ -123,6 +123,10 @@ def alpha_of_eta(eta: float) -> float:
     return 1.0 / math.log2(eta)
 
 
+# 2.0 ** m overflows a float past this many doublings
+MAX_DOUBLINGS = 1023
+
+
 @dataclass
 class BoundParams:
     """Inputs for the doubling lower bound on log-growth.
@@ -146,19 +150,23 @@ def lower_bound_log_gamma(n: float, p: BoundParams) -> tuple[int, float]:
     cost of multiplying the radius by eta and adding the shift: after m
     steps the radius is eta^m * L + (eta^(m-1) + ... + 1) * shift and
     log gamma is at least 2^m * log(gamma(L)/4) + log 4.  Raises
-    ValueError below the seed radius.
+    ValueError below the seed radius, unless the radius grows (eta > 1 and
+    eta*L + shift > L), and when the bound exceeds a float.
     """
     if p.base_count < 4:
         raise ValueError("seed ball must contain at least 4 elements")
-    if n < p.base_radius:
+    if not n >= p.base_radius:
         raise ValueError("no bound: radius below the seed ball")
-    m = 0
-    radius = p.base_radius
-    while True:
-        nxt = p.eta * radius + p.shift
-        if nxt > n:
-            break
-        radius = nxt
+    if not (p.eta > 1 and p.eta * p.base_radius + p.shift > p.base_radius):
+        raise ValueError("no bound: the radius must grow at each doubling "
+                         "(eta > 1 and eta*L + shift > L)")
+    m, radius = 0, p.base_radius
+    while p.eta * radius + p.shift <= n:
+        radius = p.eta * radius + p.shift
         m += 1
-    bound = (2 ** m) * math.log(p.base_count / 4.0) + math.log(4.0)
+        if m > MAX_DOUBLINGS:
+            raise ValueError(f"no bound: more than {MAX_DOUBLINGS} doublings")
+    bound = 2.0 ** m * math.log(p.base_count / 4.0) + math.log(4.0)
+    if math.isinf(bound):
+        raise ValueError(f"no bound: {m} doublings overflow a float")
     return m, bound

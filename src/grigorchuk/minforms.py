@@ -99,8 +99,12 @@ def format_weights(w: Weight) -> str:
 
 
 def check_weights(w: Weight) -> None:
+    """Raise ValueError unless the weights are positive and triangular."""
     if any(w[ch] <= 0 for ch in LETTERS):
         raise ValueError("weights must be positive")
+    if not is_triangular(w):
+        raise ValueError("weights must be triangular: each of b, c, d "
+                         "at most the sum of the other two")
 
 
 def is_triangular(w: Weight) -> bool:
@@ -123,9 +127,6 @@ class MinimalForms:
 
     def __init__(self, weights: Weight, element_budget: int = 10_000_000):
         check_weights(weights)
-        if not is_triangular(weights):
-            raise ValueError("weights must be triangular: each of b, c, d "
-                             "at most the sum of the other two")
         self.weights = dict(weights)
         self.element_budget = element_budget
         self.table: dict[Element, str] = {}
@@ -190,16 +191,12 @@ class MinimalForms:
         """All canonical forms of length <= max_len satisfying the predicate.
 
         Canonical forms alternate the letter a with letters from {b, c, d},
-        so a form of <= max_len letters weighs at most ceil(max_len/2) heavy
-        letters plus floor(max_len/2) copies of a; settling that radius is
-        sufficient.  Forms settle in
-        priority order (weight, length, letter order), so the result is
-        in that order too.
+        so a form of <= max_len letters holds floor(max_len/2) of each kind,
+        plus one of either kind when max_len is odd; settling up to the
+        heaviest such weight finds them all.  Forms settle in priority order
+        (weight, length, letter order), so the result is in that order too.
         """
-        heavy = max(self.weights[x] for x in "bcd")
-        radius = (max_len + 1) // 2 * heavy + max_len // 2 * self.weights["a"]
-        self.extend(radius)
-        form_weight = self.form_weight
-        return [w for k, w in self.table.items()
-                if len(w) <= max_len and form_weight[k] <= radius
-                and (predicate is None or predicate(w))]
+        heavy, a = max(self.weights[x] for x in "bcd"), self.weights["a"]
+        self.extend(max_len // 2 * (heavy + a) + max_len % 2 * max(heavy, a))
+        return [w for w in self.table.values()
+                if len(w) <= max_len and (predicate is None or predicate(w))]

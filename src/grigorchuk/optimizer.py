@@ -227,8 +227,6 @@ def optimize_weights(
     schedule.validate()
     weights = _gauge(dict(initial or graph.weights))
     check_weights(weights)
-    if not is_triangular(weights):
-        raise ValueError("initial weight must be triangular")
 
     best, witness = max_cycle_ratio(graph, weights)
     cuts = [_cut(witness)]

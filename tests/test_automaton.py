@@ -431,6 +431,30 @@ class TestVerification:
         assert "input state (da,da) has 1 output transitions, expected 0" \
             in verify_graph(graph).violations
 
+    # each corruption of the parsed fixture, made in code, trips one check;
+    # (adad,adad) is the output state behind (da,da)'s (da,da) edge
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda g: setattr(g.output_transition(("adad", "adad")), "output",
+                           "acacac"),
+         "output 'acacac' at (adad,adad) has odd a-parity"),
+        (lambda g: setattr(g.output_transition(("adad", "adad")), "output",
+                           "acacacacdd"),
+         "output 'acacacacdd' at (adad,adad) is not weight-minimal"),
+        (lambda g: setattr(g.special_transitions(("", ""))["b"], "pad", "d"),
+         "special at (-,-) consumes 'd' outside the closure of b"),
+        (lambda g: g.add_transition(
+            Transition(("a", ""), ("a", "b"), pad="b", special=True)),
+         "special attached at (a,-) whose buffer is not a section pair"),
+        (lambda g: setattr(g.input_transitions(("da", "da"))[("da", "da")],
+                           "chunk", ("da", "ca")),
+         "input state (da,da) has 8 distinct chunk successors, expected 9"),
+    ], ids=["odd-parity", "not-minimal", "pad-outside-b",
+            "special-off-section-pair", "eight-chunks"])
+    def test_violation_texts(self, fixture_text, corrupt, message):
+        graph = parse_graph(fixture_text)
+        corrupt(graph)
+        assert message in verify_graph(graph).violations
+
 
 class TestCycleRatio:
     def test_toy_exact(self):
@@ -548,6 +572,22 @@ class TestTransduce:
             transduce(graph, ("dada", "dada"))
         assert str(output_err.value) == \
             "stuck: successor buffer mismatch after 'acacacac'"
+
+    # the same run, with the step it needs next taken away
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda g: setattr(g.input_transitions(("", ""))[("da", "da")],
+                           "chunk", ("ba", "ba")),
+         "stuck: no chunk edge ('da', 'da') at (-,-)"),
+        (lambda g: setattr(g.output_transition(("adad", "adad")), "output",
+                           None),
+         "stuck: no output transition at (adad,adad)"),
+    ], ids=["no-chunk-edge", "no-output"])
+    def test_stuck_texts(self, fixture_text, corrupt, message):
+        graph = parse_graph(fixture_text)
+        corrupt(graph)
+        with pytest.raises(TransduceError) as err:
+            transduce(graph, ("dada", "dada"))
+        assert str(err.value) == message
 
     def test_exhaustive_small_consistency(self, fixture_graph):
         for length in range(7):

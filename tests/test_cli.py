@@ -44,10 +44,15 @@ class TestWordCommands:
                          "--weights", "a=1,b=3.33,c=2.8,d=1.06")
         assert (rc, out) == (0, "adad\n")
 
-    @pytest.mark.parametrize("command", [("minform", "c"),
-                                         ("growth", "--max-radius", "2")],
-                             ids=["minform", "growth"])
-    def test_non_triangular_weights_rejected(self, capsys, command):
+    @pytest.mark.parametrize("command", [
+        ("minform", "c"),
+        ("growth", "--max-radius", "2"),
+        ("build", "--out", "built.graph"),
+        ("optimize", "--graph", FIXTURE, "--out", "weights.txt"),
+    ], ids=["minform", "growth", "build", "optimize"])
+    def test_non_triangular_weights_rejected(self, capsys, tmp_path,
+                                             monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
         rc, out, err = run(capsys, *command, "--weights", "a=1,b=1,c=5,d=1")
         assert rc == 1
         assert out == ""
@@ -115,6 +120,12 @@ class TestGrowthCommands:
                          "--json")
         assert rc == 0
         assert json.loads(out)["doublings"] == 2
+
+    def test_bound_rejects_flat_radius(self, capsys):
+        rc, out, err = run(capsys, "bound", "100", "--eta", "1", "--shift",
+                           "0", "--base-radius", "1", "--base-count", "5")
+        assert (rc, out) == (1, "")
+        assert err.startswith("error: no bound")
 
 
 class TestGraphCommands:

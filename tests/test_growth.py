@@ -102,3 +102,24 @@ class TestLowerBound:
     def test_below_seed(self):
         with pytest.raises(ValueError):
             lower_bound_log_gamma(2, self.PARAMS)
+
+    # a radius that stays flat, falls or is NaN never passes n, eta near 1
+    # takes millions of doublings, and 2^m * log(gamma(L)/4) can pass the
+    # largest float
+    @pytest.mark.parametrize("n, eta, shift, radius, count", [
+        (100, 1.0, 0.0, 1.0, 5),
+        (100, 4.0, -50.0, 10.0, 5),
+        (100, math.nan, 0.0, 1.0, 5),
+        (100, 4.0, math.nan, 1.0, 5),
+        (math.nan, 4.0, 12.0, 8.0, 5),
+        (1e10, 1.001, 0.0, 1.0, 5),
+        (math.inf, 4.0, 12.0, 8.0, 5),
+        (2.0 ** 1020, 2.0, 0.0, 1.0, 10 ** 300),
+    ], ids=["eta-1", "radius-falls", "eta-nan", "shift-nan", "n-nan",
+            "too-many-doublings", "n-inf", "float-overflow"])
+    def test_rejects_stalled_or_runaway_doubling(self, n, eta, shift, radius,
+                                                  count):
+        params = BoundParams(eta=eta, shift=shift, base_radius=radius,
+                             base_count=count)
+        with pytest.raises(ValueError, match="^no bound"):
+            lower_bound_log_gamma(n, params)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from grigorchuk import (MinimalForms, SCALE, TUNED_WEIGHTS, UNIT_WEIGHTS,
                         element_of, parse_weights, word_weight, words_equal)
 from grigorchuk.minforms import format_scaled, is_triangular, scale_decimal
+from grigorchuk.words import in_H
 
 words = st.text(alphabet="abcd", max_size=9)
 
@@ -45,7 +46,7 @@ class TestWeights:
         # the search over reduced words would settle c at weight 5, though
         # bd spells the same element at weight 2
         with pytest.raises(ValueError, match="triangular"):
-            MinimalForms(parse_weights("a=1 b=1 c=5 d=1"))
+            MinimalForms({"a": SCALE, "b": SCALE, "c": 5 * SCALE, "d": SCALE})
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
@@ -146,6 +147,25 @@ class TestEnumeration:
     def test_h_forms_up_to_two_letters(self, unit_forms):
         got = unit_forms.enumerate_forms(2, lambda w: w.count("a") % 2 == 0)
         assert got == ["", "d", "c", "b"]
+
+    @pytest.mark.parametrize("text, max_len", [
+        ("a=5 b=1 c=1 d=1", 3),
+        ("a=5 b=1 c=1 d=1", 4),
+        ("a=3 b=2 c=2 d=1", 7),
+        ("a=1 b=3.33 c=2.8 d=1.06", 7),
+        ("a=1 b=1 c=1 d=1", 6),
+    ])
+    def test_matches_full_settle(self, text, max_len):
+        # an odd-length form such as aba holds more a's than heavy
+        # letters, so the radius must cover an a-heavy spelling too
+        weights = parse_weights(text)
+        full = MinimalForms(weights)
+        full.extend(max_len * max(weights.values()))
+        for predicate in (None, in_H):
+            expect = [w for w in full.table.values() if len(w) <= max_len
+                      and (predicate is None or predicate(w))]
+            got = MinimalForms(weights).enumerate_forms(max_len, predicate)
+            assert got == expect
 
     def test_sorted_by_priority(self, tuned_forms):
         forms = tuned_forms.enumerate_forms(4)

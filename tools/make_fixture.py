@@ -13,9 +13,9 @@ successor buffer, per component), preferring the printed successor
 orientation and, when both orientations are admissible, the one whose
 forced element matches the printed label or its reverse.  All labels are
 then respelled in canonical minimal form under the reference weights.
-Special end-of-input transitions are attached at the initial state, one
-for every nonempty minimal form of length at most eight inside the
-closure of b, labelled by the half-shift preimage of the consumed word.
+Special end-of-input transitions are attached at the initial state by
+builder.attach_specials, as in the builder: one for every nonempty
+minimal form of at most eight letters in the closure of b.
 
 Run from the repository root:  python3 tools/make_fixture.py
 """
@@ -30,10 +30,10 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from grigorchuk.automaton import (CHUNK_PAIRS, Transition, TransducerGraph,  # noqa: E402
                                   serialize_graph)
-from grigorchuk.builder import SPECIAL_LEN  # noqa: E402
+from grigorchuk.builder import attach_specials  # noqa: E402
 from grigorchuk.minforms import TUNED_WEIGHTS  # noqa: E402
-from grigorchuk.words import (free_reduce, in_B, pair_in_section_image,  # noqa: E402
-                              psi_preimage_basic, rev, sigma)
+from grigorchuk.words import (free_reduce, pair_in_section_image,  # noqa: E402
+                              psi_preimage_basic, rev)
 from grigorchuk.elements import element_of  # noqa: E402
 
 
@@ -228,15 +228,7 @@ def build_fixture() -> tuple[TransducerGraph, dict[str, int]]:
                 prior.output, prior.dst = word, succ
             graph.add_transition(Transition(state, buffer, chunk=chunk))
 
-    specials = [u for u in forms.enumerate_forms(SPECIAL_LEN, in_B) if u]
-    for u in specials:
-        label = forms.minimal_form(sigma(u))
-        mid = ("", u)
-        graph.add_state(mid, "output")
-        graph.add_transition(Transition(("", ""), mid, pad=u, special=True))
-        graph.add_transition(
-            Transition(mid, ("", ""), output=label, special=True))
-    stats["specials"] = len(specials)
+    stats["specials"] = attach_specials(graph, [])
     return graph, stats
 
 
