@@ -9,13 +9,20 @@ which makes the word problem a dictionary lookup after construction.
 Elements define neither ``__eq__`` nor ``__hash__``, so the intern and
 product tables here, and the minimal-form tables built on them, key on
 the elements themselves.
+
+The word problem runs on segment forms (see ``words``): a reduced word
+``x0 a x1 a ... a xk`` is the tuple of its Klein values (x0, ..., xk),
+its sections are taken on that tuple, and the element of each segment
+form is cached under it.  The right step by one generator,
+``step(g, x) = g*x``, is ``mul(g, ATOMS[x])`` without the pair-keyed
+product cache: the a step only swaps, and a b, c or d step recurses
+along one section path, with one table per generator keyed by the
+element.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from .words import free_reduce, sections
+from .words import SECTIONS_OF, segment_sections, segments
 
 
 class Element:
@@ -68,12 +75,19 @@ def _node(swap: int, left: Element, right: Element) -> Element:
     return found
 
 
-@lru_cache(maxsize=None)
-def _element_of_reduced(w: str) -> Element:
-    if len(w) <= 1:
-        return ATOMS[w]
-    p, s0, s1 = sections(w)
-    return _node(p, _element_of_reduced(s0), _element_of_reduced(s1))
+# The element of each segment form, keyed by the form; seeded with the
+# words of length at most one.
+_ELEMENT: dict[tuple[int, ...], Element] = {
+    (0,): IDENTITY, (0, 0): GEN_A, (1,): GEN_B, (2,): GEN_C, (3,): GEN_D}
+
+
+def _element(x: tuple[int, ...]) -> Element:
+    found = _ELEMENT.get(x)
+    if found is None:
+        p, s0, s1 = segment_sections(x)
+        found = _node(p, _element(s0), _element(s1))
+        _ELEMENT[x] = found
+    return found
 
 
 # Products of distinct atoms from {b,c,d} close up cyclically, so the
@@ -104,9 +118,49 @@ def mul(g: Element, h: Element) -> Element:
     return found
 
 
+# g*x for each generator x in {b, c, d} and each g met so far, one table
+# per generator.  Like mul's seeds, the products inside {b, c, d} stop the
+# recursion from cycling b -> c -> d -> b.
+_STEP: dict[str, dict[Element, Element]] = {
+    x: {ATOMS[y]: _MUL[(ATOMS[y], ATOMS[x])] for y in "bcd"} for x in "bcd"}
+
+
+def step(g: Element, x: str) -> Element:
+    """The product g*x for a letter x, or for "" the identity.
+
+    This is ``mul(g, ATOMS[x])`` without the pair-keyed product cache: the
+    a step toggles the root swap and caches nothing, and a step by b, c or
+    d takes the section pair (lo, hi) of ``SECTIONS_OF[x]`` to each side.
+    """
+    if g is IDENTITY:
+        return ATOMS[x]
+    if x == "a":
+        return _node(1 ^ g.swap, g.left, g.right)
+    if not x:
+        return g
+    table = _STEP[x]
+    found = table.get(g)
+    if found is None:
+        lo, hi = SECTIONS_OF[x]
+        if g.swap == 0:
+            found = _node(0, step(g.left, lo), step(g.right, hi))
+        else:
+            found = _node(1, step(g.left, hi), step(g.right, lo))
+        table[g] = found
+    return found
+
+
+def cache_sizes() -> dict[str, int]:
+    """Entries in each global table: interned nodes, the product cache,
+    the one-generator step tables and the segment-form element cache."""
+    return {"interned": len(_INTERN), "mul": len(_MUL),
+            "steps": sum(map(len, _STEP.values())),
+            "elements": len(_ELEMENT)}
+
+
 def element_of(w: str) -> Element:
     """The interned element represented by the word w."""
-    return _element_of_reduced(free_reduce(w))
+    return _element(segments(w))
 
 
 def is_trivial(w: str) -> bool:

@@ -166,7 +166,10 @@ def lower_bound_log_gamma(n: float, p: BoundParams) -> tuple[int, float]:
         m += 1
         if m > MAX_DOUBLINGS:
             raise ValueError(f"no bound: more than {MAX_DOUBLINGS} doublings")
-    bound = 2.0 ** m * math.log(p.base_count / 4.0) + math.log(4.0)
+    # math.log takes a seed count of any size; a quotient by 4.0 would
+    # first convert it to a float, which overflows above about 1.8e308
+    log_ratio = math.log(p.base_count) - math.log(4.0)
+    bound = 2.0 ** m * log_ratio + math.log(4.0)
     if math.isinf(bound):
         raise ValueError(f"no bound: {m} doublings overflow a float")
     return m, bound

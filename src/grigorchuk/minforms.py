@@ -19,9 +19,11 @@ settled prefix, and a merge such as ``...ab + c -> ...ad`` gives a word
 that the settled prefix ``...a`` pushed.  So the words that can settle,
 and their priorities, are those of a search over all extensions, and the
 canonical forms and their settle order are the same.  Each heap entry
-carries its element, the parent's element times one generator.  Weights
-are positive, so a word never outranks its prefix and forms settle in
-order of non-decreasing weight.
+carries its element, the parent's element times one generator, taken by
+that generator's right step (``elements.step``) rather than by ``mul``,
+so settling fills no product cache.  Weights are positive, so a word
+never outranks its prefix and forms settle in order of non-decreasing
+weight.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 import heapq
 from typing import Callable
 
-from .elements import ATOMS, Element, element_of, mul
+from .elements import ATOMS, Element, element_of, step
 from .words import LETTERS, free_reduce
 
 SCALE = 10_000
@@ -135,7 +137,7 @@ class MinimalForms:
         self.form_weight: dict[Element, int] = {}
         # (weight, length, key, element) of each pushed, unsettled word
         self._heap: list[tuple[int, int, str, Element]] = [(0, 0, "", ATOMS[""])]
-        self._grow = {last: [(ch.translate(_KEY), weights[ch], ATOMS[ch])
+        self._grow = {last: [(ch.translate(_KEY), weights[ch], ch)
                              for ch in letters]
                       for last, letters in _NEXT.items()}
         self._settled_upto = -1
@@ -160,8 +162,8 @@ class MinimalForms:
                     f"{format_scaled(weight)}")
             table[e] = key.translate(_WORD)
             form_weight[e] = weight
-            for digit, cost, gen in self._grow[key[-1:]]:
-                child = mul(e, gen)
+            for digit, cost, ch in self._grow[key[-1:]]:
+                child = step(e, ch)
                 if child not in table:
                     heapq.heappush(heap, (weight + cost, n + 1, key + digit, child))
         self._settled_upto = radius

@@ -15,19 +15,29 @@ Everything in this module is word-level and exact: free reduction,
 the string action, the section decomposition of parity-even words, the
 order-8 dihedral quotient used for membership tests, and the auxiliary
 substitutions that power the baseline preimage construction.
+
+The segment form.  A reduced word is ``x0 a x1 a ... a xk`` with each
+``xi`` in the Klein group {1, b, c, d}, and no inner ``xi`` (0 < i < k)
+is 1.  ``segments`` encodes it as the tuple (x0, ..., xk) with 1, b, c, d
+as 0, 1, 2, 3, so that XOR is the product, and every section is taken on
+that tuple.  A value ``xi`` sits at a-parity ``i & 1``.  Its section pair
+splits into a lo part, ``a`` for b and c and 1 for d, and a hi part, the
+cyclic shift b -> c -> d -> b; at even parity the lo part goes to the
+left section and the hi part to the right one, at odd parity the other
+way.  So a section word reads lo parts of one parity between hi parts of
+the other: each ``a`` in it comes from a b or c, and the hi parts between
+two of its a's are those of the values between two such b's or c's.
+Inner values are not 1 and the hi map is a bijection, so a section
+segment that takes one hi part is not 1.  A section segment takes more
+than one hi part only where a d, whose lo part is 1, sits between them;
+so an inner 1 is left only at d positions, and the same stack pass that
+folds ``u a 1 a v`` into ``uv`` for ``segments`` reduces each section.
 """
 
 from __future__ import annotations
 
 LETTERS = "abcd"
 BCD = "bcd"
-
-# bc = cb = d, bd = db = c, cd = dc = b
-THIRD = {
-    ("b", "c"): "d", ("c", "b"): "d",
-    ("b", "d"): "c", ("d", "b"): "c",
-    ("c", "d"): "b", ("d", "c"): "b",
-}
 
 # x = (pair[0], pair[1]) as an action on subtrees; "" is the identity.
 SECTIONS_OF = {"b": ("a", "c"), "c": ("a", "d"), "d": ("", "b")}
@@ -40,28 +50,95 @@ def check_word(w: str) -> None:
             raise ValueError(f"invalid letter {ch!r} in word {w!r}")
 
 
+# the Klein value of each {b,c,d}-string of at most six letters; a
+# longer segment is valued by its letter counts
+_KLEIN = {"": 0}
+for _n in range(6):
+    for _part in [p for p in _KLEIN if len(p) == _n]:
+        for _x, _v in (("b", 1), ("c", 2), ("d", 3)):
+            _KLEIN[_part + _x] = _KLEIN[_part] ^ _v
+_SPELL = ("", "b", "c", "d")
+# the hi part of each Klein value's sections: b -> c, c -> d, d -> b
+_HI = (0, 2, 3, 1)
+
+
+def _klein_count(part: str, w: str) -> int:
+    """Klein value of a segment of w, from its letter-count parities."""
+    b, c, d = part.count("b"), part.count("c"), part.count("d")
+    if b + c + d != len(part):
+        check_word(w)
+    return (b + d) & 1 | ((c + d) & 1) << 1
+
+
+def segments(w: str) -> tuple[int, ...]:
+    """The segment form (x0, ..., xk) of w's reduced word (module docstring).
+
+    Values each a-free segment, then folds every inner 1, ``u a 1 a v``
+    into ``uv``, in one stack pass.  Raises ValueError on a letter outside
+    a, b, c, d.
+    """
+    out: list[int] = []
+    for part in w.split("a"):
+        x = _KLEIN.get(part)
+        if x is None:
+            x = _klein_count(part, w)
+        if len(out) > 1 and not out[-1]:
+            out.pop()
+            x ^= out.pop()
+        out.append(x)
+    return tuple(out)
+
+
+def spell(x: tuple[int, ...]) -> str:
+    """The reduced word of a segment form."""
+    return "a".join([_SPELL[v] for v in x])
+
+
+def segment_sections(x: tuple[int, ...]
+                     ) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """Parity and the two section segment forms of a segment form.
+
+    Each value sends its lo part to one side and its hi part to the other
+    (module docstring).  ``top0`` and ``top1`` are the open segments of
+    the left and right sections, and the lists hold the closed ones below
+    them.  A lo ``a`` closes the open segment of its side, or, when that
+    segment is an inner 1, reopens the one before it: the stack pass of
+    ``segments``.
+    """
+    left: list[int] = []
+    right: list[int] = []
+    top0 = top1 = 0
+    even = True
+    for v in x:
+        if even:
+            top1 ^= _HI[v]
+            if v == 1 or v == 2:
+                if left and not top0:
+                    top0 = left.pop()
+                else:
+                    left.append(top0)
+                    top0 = 0
+        else:
+            top0 ^= _HI[v]
+            if v == 1 or v == 2:
+                if right and not top1:
+                    top1 = right.pop()
+                else:
+                    right.append(top1)
+                    top1 = 0
+        even = not even
+    left.append(top0)
+    right.append(top1)
+    return (len(x) - 1) & 1, tuple(left), tuple(right)
+
+
 def free_reduce(w: str) -> str:
     """Shortest word equal to w under xx = 1 and the {b,c,d} products.
 
-    A single stack pass: equal adjacent letters cancel, and adjacent
-    {b,c,d}-letters merge into the third one (which may cascade).
+    The spelling of w's segment form.  Raises ValueError on a letter
+    outside a, b, c, d.
     """
-    out: list[str] = []
-    for ch in w:
-        while out:
-            top = out[-1]
-            if top == ch:
-                out.pop()
-                break
-            merged = THIRD.get((top, ch))
-            if merged is None:
-                out.append(ch)
-                break
-            out.pop()
-            ch = merged
-        else:
-            out.append(ch)
-    return "".join(out)
+    return spell(segments(w))
 
 
 def rev(w: str) -> str:
@@ -108,21 +185,8 @@ def sections(w: str) -> tuple[int, str, str]:
     at odd parity the roles swap.  Returns (parity, left, right) with both
     section words freely reduced.
     """
-    p = 0
-    s0: list[str] = []
-    s1: list[str] = []
-    for ch in w:
-        if ch == "a":
-            p ^= 1
-            continue
-        lo, hi = SECTIONS_OF[ch]
-        if p == 0:
-            s0.append(lo)
-            s1.append(hi)
-        else:
-            s0.append(hi)
-            s1.append(lo)
-    return p, free_reduce("".join(s0)), free_reduce("".join(s1))
+    p, s0, s1 = segment_sections(segments(w))
+    return p, spell(s0), spell(s1)
 
 
 def psi(w: str) -> tuple[str, str]:

@@ -127,6 +127,14 @@ class TestGrowthCommands:
         assert (rc, out) == (1, "")
         assert err.startswith("error: no bound")
 
+    def test_bound_seed_count_beyond_float(self, capsys):
+        # 10^400 has no float, but its logarithm does
+        rc, out, err = run(capsys, "bound", "100", "--eta", "4", "--shift",
+                           "12", "--base-radius", "8", "--base-count",
+                           "1" + "0" * 400)
+        assert (rc, err) == (0, "")
+        assert out == "log gamma lower bound: 1840.68 (doublings: 1)\n"
+
 
 class TestGraphCommands:
     def test_verify_graph(self, capsys):

@@ -1,10 +1,16 @@
 """Hash-consed exact elements: identity, equality, multiplication."""
 
+from functools import reduce
+
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from grigorchuk import element_of, free_reduce, is_trivial, words_equal
-from grigorchuk.elements import mul
+from grigorchuk import (SCALE, UNIT_WEIGHTS, MinimalForms, element_of,
+                        free_reduce, is_trivial, words_equal)
+from grigorchuk.elements import ATOMS, IDENTITY, cache_sizes, mul, step
+
+from conftest import long_words
 
 words = st.text(alphabet="abcd", max_size=10)
 
@@ -42,6 +48,32 @@ class TestHashConsing:
     @given(words)
     def test_word_and_reduction_agree(self, w):
         assert element_of(w) is element_of(free_reduce(w))
+
+
+class TestWordProblem:
+    @pytest.mark.parametrize("query", [is_trivial, element_of,
+                                       lambda w: words_equal("", w)],
+                             ids=["is_trivial", "element_of", "words_equal"])
+    def test_rejects_bad_letter(self, query):
+        with pytest.raises(ValueError,
+                           match="invalid letter 'x' in word 'axa'"):
+            query("axa")
+
+    @given(long_words)
+    def test_element_is_product_of_atoms(self, w):
+        assert element_of(w) is reduce(mul, (ATOMS[x] for x in w), IDENTITY)
+
+
+class TestSteps:
+    @given(long_words, st.sampled_from("abcd"))
+    def test_step_is_product(self, w, x):
+        g = element_of(w)
+        assert step(g, x) is mul(g, ATOMS[x])
+
+    def test_extend_leaves_product_cache(self):
+        before = cache_sizes()["mul"]
+        MinimalForms(UNIT_WEIGHTS).extend(8 * SCALE)
+        assert cache_sizes()["mul"] == before
 
 
 class TestMultiplication:

@@ -1,15 +1,71 @@
 """Word-level operations: reduction, the tree action, psi and sections."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grigorchuk import (act, free_reduce, in_B, in_H, pair_in_section_image,
                         psi, psi_preimage_basic, rev, sigma, tau, words_equal)
-from grigorchuk.words import check_word, sections
+from grigorchuk.words import (SECTIONS_OF, check_word, sections, segments,
+                              spell)
+
+from conftest import long_words
 
 words = st.text(alphabet="abcd", max_size=12)
 binary = st.text(alphabet="01", min_size=1, max_size=8)
+
+
+# bc = cb = d, bd = db = c, cd = dc = b
+THIRD = {
+    ("b", "c"): "d", ("c", "b"): "d",
+    ("b", "d"): "c", ("d", "b"): "c",
+    ("c", "d"): "b", ("d", "c"): "b",
+}
+
+
+def letter_reduce(w):
+    """Free reduction letter by letter: the reference for ``free_reduce``.
+
+    Equal adjacent letters cancel, and adjacent {b,c,d}-letters merge into
+    the third one, which may cascade.
+    """
+    out: list[str] = []
+    for ch in w:
+        while out:
+            top = out[-1]
+            if top == ch:
+                out.pop()
+                break
+            merged = THIRD.get((top, ch))
+            if merged is None:
+                out.append(ch)
+                break
+            out.pop()
+            ch = merged
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+def letter_sections(w):
+    """Sections of w letter by letter: the reference for ``sections``."""
+    p = 0
+    s0: list[str] = []
+    s1: list[str] = []
+    for ch in w:
+        if ch == "a":
+            p ^= 1
+            continue
+        lo, hi = SECTIONS_OF[ch]
+        if p == 0:
+            s0.append(lo)
+            s1.append(hi)
+        else:
+            s0.append(hi)
+            s1.append(lo)
+    return p, letter_reduce("".join(s0)), letter_reduce("".join(s1))
 
 
 def all_words(max_len):
@@ -38,6 +94,9 @@ class TestReduction:
     def test_rejects_bad_letter(self):
         with pytest.raises(ValueError):
             check_word("abx")
+        with pytest.raises(ValueError,
+                           match="invalid letter 'x' in word 'abx'"):
+            free_reduce("abx")
 
     @given(words)
     def test_idempotent(self, w):
@@ -53,6 +112,49 @@ class TestReduction:
     def test_rev_is_inverse(self, w):
         assert free_reduce(w + rev(w)) == ""
         assert rev(rev(w)) == w
+
+
+class TestSegments:
+    def test_generators(self):
+        assert segments("") == (0,)
+        assert segments("a") == (0, 0)
+        assert segments("bcd") == (0,)
+        assert segments("abab") == (0, 1, 1)
+
+    def test_inner_one_folds(self):
+        # a bcd a = a a = 1, and b a bcd a c = b c = d
+        assert segments("abcda") == (0,)
+        assert segments("babcdac") == (3,)
+
+    @pytest.mark.parametrize("w", ["axa", "abcdbcdbxa"],
+                             ids=["table", "counts"])
+    def test_rejects_bad_letter(self, w):
+        with pytest.raises(ValueError,
+                           match=f"invalid letter 'x' in word '{w}'"):
+            segments(w)
+
+    @given(long_words)
+    def test_spells_free_reduction(self, w):
+        assert spell(segments(w)) == letter_reduce(w)
+
+    @given(long_words)
+    def test_sections_match_letter_reference(self, w):
+        assert sections(w) == letter_sections(w)
+
+    def test_sections_fold_inner_one(self):
+        # the d at odd parity leaves c's hi parts d, d between the right
+        # section's a's: a d d a = 1
+        assert sections("abacadacab") == (1, "cabac", "")
+
+    def test_sections_reduced_words(self):
+        # every reduced word with at most six a's: inner values are b, c, d
+        for k in range(7):
+            for inner in itertools.product((1, 2, 3), repeat=max(k - 1, 0)):
+                for x0, xk in itertools.product(range(4), repeat=2):
+                    x = (x0,) + inner + (xk,) if k else (x0,)
+                    w = spell(x)
+                    assert segments(w) == x
+                    assert sections(w) == letter_sections(w)
 
 
 class TestAction:
