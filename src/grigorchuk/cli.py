@@ -98,9 +98,14 @@ def _cmd_preimage_basic(args) -> int:
     return 0
 
 
-def _growth_rows(weights: Weight, max_radius: int,
+def _radii(max_radius: int) -> list[int]:
+    if max_radius < 0:
+        raise ValueError(f"--max-radius must be >= 0, not {max_radius}")
+    return [r * SCALE for r in range(max_radius + 1)]
+
+
+def _growth_rows(weights: Weight, radii: list[int],
                  subgroup: bool) -> list[tuple[str, int]]:
-    radii = [r * SCALE for r in range(max_radius + 1)]
     table = gamma_table(MinimalForms(weights), radii, in_H if subgroup else None)
     return [(format_scaled(radius), count) for radius, count in table]
 
@@ -110,7 +115,8 @@ def _cmd_growth(args) -> int:
         tables = [dict(UNIT_WEIGHTS), dict(TUNED_WEIGHTS)]
     else:
         tables = [_load_weights(args.weights)]
-    rows = [_growth_rows(w, args.max_radius, args.subgroup) for w in tables]
+    radii = _radii(args.max_radius)
+    rows = [_growth_rows(w, radii, args.subgroup) for w in tables]
     if args.json:
         print(json.dumps({"tables": [
             {"weights": _weights_json(w), "rows": r}
@@ -129,7 +135,7 @@ def _cmd_growth(args) -> int:
 def _cmd_check_sbgp(args) -> int:
     weights = _load_weights(args.weights)
     forms = MinimalForms(weights)
-    radii = [r * SCALE for r in range(args.max_radius + 1)]
+    radii = _radii(args.max_radius)
     checks = check_subgroup_growth(forms, radii, in_H, 2, weights["a"])
     if args.json:
         print(json.dumps({"checks": [

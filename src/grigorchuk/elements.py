@@ -13,16 +13,15 @@ the elements themselves.
 The word problem runs on segment forms (see ``words``): a reduced word
 ``x0 a x1 a ... a xk`` is the tuple of its Klein values (x0, ..., xk),
 its sections are taken on that tuple, and the element of each segment
-form is cached under it.  The right step by one generator,
-``step(g, x) = g*x``, is ``mul(g, ATOMS[x])`` without the pair-keyed
-product cache: the a step only swaps, and a b, c or d step recurses
-along one section path, with one table per generator keyed by the
-element.
+form is cached under it.  ``mul`` is the one product.  It caches g*h in
+one table per right factor h, keyed by g; a right factor of a only
+swaps the root and is never cached, so right steps by one generator,
+which minimal forms grow by, fill only the b, c and d tables.
 """
 
 from __future__ import annotations
 
-from .words import SECTIONS_OF, segment_sections, segments
+from .words import segment_sections, segments
 
 
 class Element:
@@ -90,15 +89,15 @@ def _element(x: tuple[int, ...]) -> Element:
     return found
 
 
+# Products g*h, one table per right factor h, keyed by the left factor g.
 # Products of distinct atoms from {b,c,d} close up cyclically, so the
 # recursion below would chase b*c -> c*d -> d*b forever without these
 # seeds; every other section pair is structurally smaller.
-_MUL: dict[tuple[Element, Element], Element] = {}
-for _x, _y, _z in (("b", "c", "d"), ("c", "d", "b"), ("d", "b", "c")):
-    _MUL[(ATOMS[_x], ATOMS[_y])] = ATOMS[_z]
-    _MUL[(ATOMS[_y], ATOMS[_x])] = ATOMS[_z]
-for _x in "abcd":
-    _MUL[(ATOMS[_x], ATOMS[_x])] = IDENTITY
+_MUL: dict[Element, dict[Element, Element]] = {
+    x: {x: IDENTITY} for x in (GEN_B, GEN_C, GEN_D)}
+for _x, _y, _z in ((GEN_B, GEN_C, GEN_D), (GEN_C, GEN_D, GEN_B),
+                   (GEN_D, GEN_B, GEN_C)):
+    _MUL[_y][_x] = _MUL[_x][_y] = _z
 
 
 def mul(g: Element, h: Element) -> Element:
@@ -107,55 +106,27 @@ def mul(g: Element, h: Element) -> Element:
         return h
     if h is IDENTITY:
         return g
-    key = (g, h)
-    found = _MUL.get(key)
+    if h is GEN_A:
+        return _node(1 ^ g.swap, g.left, g.right)
+    table = _MUL.get(h)
+    if table is None:
+        table = _MUL[h] = {}
+    found = table.get(g)
     if found is None:
         if g.swap == 0:
             found = _node(h.swap, mul(g.left, h.left), mul(g.right, h.right))
         else:
             found = _node(1 ^ h.swap, mul(g.left, h.right), mul(g.right, h.left))
-        _MUL[key] = found
-    return found
-
-
-# g*x for each generator x in {b, c, d} and each g met so far, one table
-# per generator.  Like mul's seeds, the products inside {b, c, d} stop the
-# recursion from cycling b -> c -> d -> b.
-_STEP: dict[str, dict[Element, Element]] = {
-    x: {ATOMS[y]: _MUL[(ATOMS[y], ATOMS[x])] for y in "bcd"} for x in "bcd"}
-
-
-def step(g: Element, x: str) -> Element:
-    """The product g*x for a letter x, or for "" the identity.
-
-    This is ``mul(g, ATOMS[x])`` without the pair-keyed product cache: the
-    a step toggles the root swap and caches nothing, and a step by b, c or
-    d takes the section pair (lo, hi) of ``SECTIONS_OF[x]`` to each side.
-    """
-    if g is IDENTITY:
-        return ATOMS[x]
-    if x == "a":
-        return _node(1 ^ g.swap, g.left, g.right)
-    if not x:
-        return g
-    table = _STEP[x]
-    found = table.get(g)
-    if found is None:
-        lo, hi = SECTIONS_OF[x]
-        if g.swap == 0:
-            found = _node(0, step(g.left, lo), step(g.right, hi))
-        else:
-            found = _node(1, step(g.left, hi), step(g.right, lo))
         table[g] = found
     return found
 
 
 def cache_sizes() -> dict[str, int]:
-    """Entries in each global table: interned nodes, the product cache,
-    the one-generator step tables and the segment-form element cache."""
-    return {"interned": len(_INTERN), "mul": len(_MUL),
-            "steps": sum(map(len, _STEP.values())),
-            "elements": len(_ELEMENT)}
+    """Entries in each global table: interned nodes, cached products and
+    their right factors, and the segment-form element cache."""
+    return {"interned": len(_INTERN),
+            "products": sum(map(len, _MUL.values())),
+            "product_tables": len(_MUL), "elements": len(_ELEMENT)}
 
 
 def element_of(w: str) -> Element:

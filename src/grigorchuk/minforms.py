@@ -19,11 +19,10 @@ settled prefix, and a merge such as ``...ab + c -> ...ad`` gives a word
 that the settled prefix ``...a`` pushed.  So the words that can settle,
 and their priorities, are those of a search over all extensions, and the
 canonical forms and their settle order are the same.  Each heap entry
-carries its element, the parent's element times one generator, taken by
-that generator's right step (``elements.step``) rather than by ``mul``,
-so settling fills no product cache.  Weights are positive, so a word
-never outranks its prefix and forms settle in order of non-decreasing
-weight.
+carries its element, the parent's element times one generator by
+``mul``, so settling caches only products whose right factor is b, c or
+d (see ``elements``).  Weights are positive, so a word never outranks
+its prefix and forms settle in order of non-decreasing weight.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from __future__ import annotations
 import heapq
 from typing import Callable
 
-from .elements import ATOMS, Element, element_of, step
+from .elements import ATOMS, Element, element_of, mul
 from .words import LETTERS, free_reduce
 
 SCALE = 10_000
@@ -62,6 +61,8 @@ def parse_weights(text: str) -> Weight:
         key, _, val = part.partition("=")
         if key not in LETTERS:
             raise ValueError(f"unknown generator {key!r} in weights")
+        if key in w:
+            raise ValueError(f"repeated weight for generator {key!r}")
         w[key] = scale_decimal(val)
     missing = [ch for ch in LETTERS if ch not in w]
     if missing:
@@ -81,6 +82,8 @@ def scale_decimal(text: str) -> int:
         raise ValueError(f"more than 4 fraction digits in {text!r}")
     if not (whole or frac):
         raise ValueError(f"empty number {text!r}")
+    if not (whole + frac).isascii() or not (whole + frac).isdigit():
+        raise ValueError(f"malformed number {text!r}")
     value = int(whole or "0") * SCALE + int((frac + "0000")[:4] or "0")
     return -value if neg else value
 
@@ -137,7 +140,7 @@ class MinimalForms:
         self.form_weight: dict[Element, int] = {}
         # (weight, length, key, element) of each pushed, unsettled word
         self._heap: list[tuple[int, int, str, Element]] = [(0, 0, "", ATOMS[""])]
-        self._grow = {last: [(ch.translate(_KEY), weights[ch], ch)
+        self._grow = {last: [(ch.translate(_KEY), weights[ch], ATOMS[ch])
                              for ch in letters]
                       for last, letters in _NEXT.items()}
         self._settled_upto = -1
@@ -162,8 +165,8 @@ class MinimalForms:
                     f"{format_scaled(weight)}")
             table[e] = key.translate(_WORD)
             form_weight[e] = weight
-            for digit, cost, ch in self._grow[key[-1:]]:
-                child = step(e, ch)
+            for digit, cost, atom in self._grow[key[-1:]]:
+                child = mul(e, atom)
                 if child not in table:
                     heapq.heappush(heap, (weight + cost, n + 1, key + digit, child))
         self._settled_upto = radius

@@ -328,6 +328,14 @@ class TestParsing:
                            match="^line 1: weights must be triangular"):
             parse_graph(text)
 
+    @pytest.mark.parametrize("weights, message", [
+        ("a=1.-5", "malformed number"), ("a=1 a=5", "repeated weight")],
+        ids=["malformed", "repeated"])
+    def test_bad_weights_line(self, weights, message):
+        text = TOY.replace("a=1", weights, 1)
+        with pytest.raises(GraphFormatError, match=f"^line 1: {message}"):
+            parse_graph(text)
+
     @pytest.mark.parametrize("text, lineno, mid", [
         (INPUT_MID, 4, "(da,da)"), (INPUT_PAD_MID, 22, "(-,b)")],
         ids=["edge", "special"])

@@ -58,6 +58,12 @@ class TestWordCommands:
         assert out == ""
         assert "weights must be triangular" in err
 
+    def test_repeated_weight_rejected(self, capsys):
+        rc, out, err = run(capsys, "minform", "dada",
+                           "--weights", "a=1,a=5,b=1,c=1,d=1")
+        assert (rc, out) == (1, "")
+        assert err.startswith("error: repeated weight for generator 'a'")
+
     def test_trivial(self, capsys):
         assert run(capsys, "trivial", "adadadad") == (0, "true\n", "")
         assert run(capsys, "trivial", "ad") == (0, "false\n", "")
@@ -97,6 +103,12 @@ class TestGrowthCommands:
                        "radius 1: 1 <= 8 <= 11 ok\n"
                        "radius 2: 5 <= 8 <= 23 ok\n"
                        "radius 3: 11 <= 14 <= 40 ok\n")
+
+    @pytest.mark.parametrize("command", ["growth", "check-sbgp"])
+    def test_negative_max_radius_rejected(self, capsys, command):
+        rc, out, err = run(capsys, command, "--max-radius", "-1")
+        assert (rc, out) == (1, "")
+        assert err.startswith("error: --max-radius")
 
     def test_alpha(self, capsys):
         assert run(capsys, "alpha", "4") == (0, "0.5\n", "")

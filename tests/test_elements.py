@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from grigorchuk import (SCALE, UNIT_WEIGHTS, MinimalForms, element_of,
                         free_reduce, is_trivial, words_equal)
-from grigorchuk.elements import ATOMS, IDENTITY, cache_sizes, mul, step
+from grigorchuk.elements import ATOMS, IDENTITY, cache_sizes, mul
 
 from conftest import long_words
 
@@ -64,16 +64,19 @@ class TestWordProblem:
         assert element_of(w) is reduce(mul, (ATOMS[x] for x in w), IDENTITY)
 
 
-class TestSteps:
-    @given(long_words, st.sampled_from("abcd"))
-    def test_step_is_product(self, w, x):
-        g = element_of(w)
-        assert step(g, x) is mul(g, ATOMS[x])
+class TestProductCache:
+    @given(long_words)
+    def test_a_step_caches_nothing(self, w):
+        g, expect = element_of(w), element_of(w + "a")
+        before = cache_sizes()["products"]
+        assert mul(g, ATOMS["a"]) is expect
+        assert cache_sizes()["products"] == before
 
-    def test_extend_leaves_product_cache(self):
-        before = cache_sizes()["mul"]
+    def test_extend_adds_no_product_table(self):
+        # one-generator steps fill only the seeded b, c and d tables
+        before = cache_sizes()["product_tables"]
         MinimalForms(UNIT_WEIGHTS).extend(8 * SCALE)
-        assert cache_sizes()["mul"] == before
+        assert cache_sizes()["product_tables"] == before
 
 
 class TestMultiplication:

@@ -48,6 +48,15 @@ class TestWeights:
         with pytest.raises(ValueError, match="triangular"):
             MinimalForms({"a": SCALE, "b": SCALE, "c": 5 * SCALE, "d": SCALE})
 
+    @pytest.mark.parametrize("text", ["1.-5", "1.+5", "1_0", "0.0_1", "\u0663"])
+    def test_scale_rejects_malformed(self, text):
+        with pytest.raises(ValueError, match="malformed number"):
+            scale_decimal(text)
+
+    def test_parse_rejects_repeated_generator(self):
+        with pytest.raises(ValueError, match="repeated weight .* 'a'"):
+            parse_weights("a=1 a=5 b=1 c=1 d=1")
+
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_weights("a=1 b=x")
