@@ -37,11 +37,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .elements import words_equal
+from .elements import segment_element
 from .minforms import (MinimalForms, SCALE, Weight, format_weights,
                        parse_weights, word_weight)
 from .words import (check_word, free_reduce, in_B, in_H,
-                    pair_in_section_image, psi, psi_preimage_basic, rev)
+                    pair_in_section_image, psi, psi_preimage_basic, rev,
+                    segment_sections, segments, spell)
 
 Buffer = tuple[str, str]
 
@@ -148,6 +149,11 @@ class TransducerGraph:
         self.by_source: dict[Buffer, list[Transition]] = {}
         self._initial: State | None = None
         self.forms = MinimalForms(weights)
+        # successor results keyed by their argument values, so a changed
+        # transition never reads a stale entry; the program's callers add
+        # at most two per transition, its buffer and its swap, and one
+        # per special that attach_specials skips
+        self.successor_memo: dict[tuple[Buffer, Buffer, str], Buffer] = {}
 
     # -- construction -------------------------------------------------------
 
@@ -183,12 +189,17 @@ class TransducerGraph:
                   emitted: str = "") -> Buffer:
         """The buffer reached from src by reading consumed and writing
         emitted: the minimal forms of rev(v_i) + src_i + consumed_i, with
-        (v0,v1) the section pair of emitted."""
-        w0, w1 = src[0] + consumed[0], src[1] + consumed[1]
-        if emitted:
-            v0, v1 = psi(emitted)
-            w0, w1 = rev(v0) + w0, rev(v1) + w1
-        return self.forms.minimal_form(w0), self.forms.minimal_form(w1)
+        (v0,v1) the section pair of emitted.  Memoized per graph."""
+        key = (src, consumed, emitted)
+        found = self.successor_memo.get(key)
+        if found is None:
+            w0, w1 = src[0] + consumed[0], src[1] + consumed[1]
+            if emitted:
+                v0, v1 = psi(emitted)
+                w0, w1 = rev(v0) + w0, rev(v1) + w1
+            found = self.successor_memo[key] = (
+                self.forms.minimal_form(w0), self.forms.minimal_form(w1))
+        return found
 
     def input_transitions(self, src: Buffer) -> dict[Buffer, Transition]:
         return {t.chunk: t for t in self.by_source.get(src, ())
@@ -656,9 +667,15 @@ def transduce(graph: TransducerGraph, pair: Buffer) -> TransduceResult:
     (or built) at, and one matches; otherwise through the baseline
     preimage of the remaining buffer, whose size is bounded by the graph's
     buffers plus eight letters.
+
+    The run check takes the written parts' segment form once.  That form
+    spells the answer, and the answer passes when its parity is even and
+    the elements of its two section forms are those of the input pair,
+    compared by identity.
     """
-    w0 = graph.forms.minimal_form(pair[0])
-    w1 = graph.forms.minimal_form(pair[1])
+    forms = graph.forms
+    e0, e1 = forms.settled(pair[0]), forms.settled(pair[1])
+    w0, w1 = forms.table[e0], forms.table[e1]
     if not pair_in_section_image(w0, w1):
         raise TransduceError(f"not in the section image: ({w0!r}, {w1!r})")
 
@@ -696,19 +713,21 @@ def transduce(graph: TransducerGraph, pair: Buffer) -> TransduceResult:
                     f"{buffer_text(state.buffer)}")
             emit(t.output)
             true = graph.successor(true, emitted=parts[-1])
-            after = repr(t.output)
+            key = None
         else:
             if pos >= len(chunks0):
                 break
             c0, c1 = chunks0[pos], chunks1[pos]
             pos += 1
             key = (c1, c0) if mirror else (c0, c1)
-            t = graph.input_transitions(state.buffer).get(key)
-            if t is None:
+            # the last matching edge, the one input_transitions keeps
+            for t in reversed(graph.by_source.get(state.buffer, ())):
+                if t.chunk == key:
+                    break
+            else:
                 raise TransduceError(f"stuck: no chunk edge {key} at "
                                      f"{buffer_text(state.buffer)}")
             true = graph.successor(true, (c0, c1))
-            after = f"chunk {key}"
         # the mirror bit under which the successor's buffer is the true one
         state = graph.states[t.dst]
         if state.buffer == true:
@@ -716,6 +735,7 @@ def transduce(graph: TransducerGraph, pair: Buffer) -> TransduceResult:
         elif state.buffer == (true[1], true[0]):
             mirror = 1
         else:
+            after = repr(t.output) if key is None else f"chunk {key}"
             raise TransduceError(
                 f"stuck: successor buffer mismatch after {after}")
 
@@ -739,9 +759,10 @@ def transduce(graph: TransducerGraph, pair: Buffer) -> TransduceResult:
         # baseline preimage is appended unwrapped whatever the mirror state.
         parts.append(psi_preimage_basic(residue0, residue1))
 
-    answer = free_reduce("".join(parts))
-    out0, out1 = psi(answer)
-    if not (words_equal(out0, w0) and words_equal(out1, w1)):
+    x = segments("".join(parts))
+    answer = spell(x)
+    odd, s0, s1 = segment_sections(x)
+    if odd or segment_element(s0) is not e0 or segment_element(s1) is not e1:
         raise TransduceError("not in the section image: run check failed")
     return TransduceResult(answer, used_special, pos)
 

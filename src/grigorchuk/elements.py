@@ -80,11 +80,12 @@ _ELEMENT: dict[tuple[int, ...], Element] = {
     (0,): IDENTITY, (0, 0): GEN_A, (1,): GEN_B, (2,): GEN_C, (3,): GEN_D}
 
 
-def _element(x: tuple[int, ...]) -> Element:
+def segment_element(x: tuple[int, ...]) -> Element:
+    """The interned element of the segment form x (see ``words``)."""
     found = _ELEMENT.get(x)
     if found is None:
         p, s0, s1 = segment_sections(x)
-        found = _node(p, _element(s0), _element(s1))
+        found = _node(p, segment_element(s0), segment_element(s1))
         _ELEMENT[x] = found
     return found
 
@@ -131,7 +132,7 @@ def cache_sizes() -> dict[str, int]:
 
 def element_of(w: str) -> Element:
     """The interned element represented by the word w."""
-    return _element(segments(w))
+    return segment_element(segments(w))
 
 
 def is_trivial(w: str) -> bool:

@@ -171,7 +171,7 @@ class MinimalForms:
                     heapq.heappush(heap, (weight + cost, n + 1, key + digit, child))
         self._settled_upto = radius
 
-    def _settled(self, word: str) -> Element:
+    def settled(self, word: str) -> Element:
         """The element of ``word``, settled if it was not."""
         e = element_of(word)
         if e not in self.table:
@@ -180,11 +180,11 @@ class MinimalForms:
 
     def minimal_form(self, word: str) -> str:
         """The canonical minimal-weight word for the element of ``word``."""
-        return self.table[self._settled(word)]
+        return self.table[self.settled(word)]
 
     def element_weight(self, word: str) -> int:
         """Scaled weight of the element represented by ``word``."""
-        return self.form_weight[self._settled(word)]
+        return self.form_weight[self.settled(word)]
 
     def is_minimal(self, word: str) -> bool:
         """Whether ``word`` has the least weight among words for its element."""

@@ -1,6 +1,7 @@
 """Tests for the transducer graph: parsing, verification, cycle analysis,
 and word transduction against the bundled machine."""
 
+import hashlib
 import importlib.util
 import math
 import pathlib
@@ -543,11 +544,31 @@ class TestCycleRatio:
                 for consumed, emitted in cycles if consumed)
 
 
+# The fixture's output for (dada,dada), and corruptions of the steps of
+# that run with the message each stops it with: a successor holding
+# neither orientation of the true buffer, then a step taken away.
+DADA_OUTPUT = "cacabacacabacacacacabacacabacacacacacaca"
+MISMATCHES = [
+    (lambda g: setattr(g.input_transitions(("", ""))[("da", "da")], "dst",
+                       ("ca", "ca")),
+     "stuck: successor buffer mismatch after chunk ('da', 'da')"),
+    (lambda g: setattr(g.output_transition(("adad", "adad")), "dst",
+                       ("da", "da")),
+     "stuck: successor buffer mismatch after 'acacacac'"),
+]
+STUCK = [
+    (lambda g: setattr(g.input_transitions(("", ""))[("da", "da")], "chunk",
+                       ("ba", "ba")),
+     "stuck: no chunk edge ('da', 'da') at (-,-)"),
+    (lambda g: setattr(g.output_transition(("adad", "adad")), "output", None),
+     "stuck: no output transition at (adad,adad)"),
+]
+
+
 class TestTransduce:
     def test_known_output(self, fixture_graph):
         result = transduce(fixture_graph, ("dada", "dada"))
-        assert result.output == (
-            "cacabacacabacacacacabacacabacacacacacaca")
+        assert result.output == DADA_OUTPUT
         assert not result.used_special
 
     def test_special_path(self, fixture_graph):
@@ -568,34 +589,73 @@ class TestTransduce:
         # (dada,dada) runs (-,-) -> (da,da) -> (adad,adad) --acacacac--> (-,-);
         # a successor holding neither orientation of the true buffer stops
         # the run and names the chunk or output that led to it
-        graph = parse_graph(fixture_text)
-        graph.input_transitions(("", ""))[("da", "da")].dst = ("ca", "ca")
-        with pytest.raises(TransduceError) as chunk_err:
-            transduce(graph, ("dada", "dada"))
-        assert str(chunk_err.value) == \
-            "stuck: successor buffer mismatch after chunk ('da', 'da')"
-        graph = parse_graph(fixture_text)
-        graph.output_transition(("adad", "adad")).dst = ("da", "da")
-        with pytest.raises(TransduceError) as output_err:
-            transduce(graph, ("dada", "dada"))
-        assert str(output_err.value) == \
-            "stuck: successor buffer mismatch after 'acacacac'"
+        for corrupt, message in MISMATCHES:
+            graph = parse_graph(fixture_text)
+            corrupt(graph)
+            with pytest.raises(TransduceError) as err:
+                transduce(graph, ("dada", "dada"))
+            assert str(err.value) == message
 
-    # the same run, with the step it needs next taken away
-    @pytest.mark.parametrize("corrupt, message", [
-        (lambda g: setattr(g.input_transitions(("", ""))[("da", "da")],
-                           "chunk", ("ba", "ba")),
-         "stuck: no chunk edge ('da', 'da') at (-,-)"),
-        (lambda g: setattr(g.output_transition(("adad", "adad")), "output",
-                           None),
-         "stuck: no output transition at (adad,adad)"),
-    ], ids=["no-chunk-edge", "no-output"])
+    @pytest.mark.parametrize("corrupt, message", STUCK,
+                             ids=["no-chunk-edge", "no-output"])
     def test_stuck_texts(self, fixture_text, corrupt, message):
         graph = parse_graph(fixture_text)
         corrupt(graph)
         with pytest.raises(TransduceError) as err:
             transduce(graph, ("dada", "dada"))
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("corrupt, message", MISMATCHES + STUCK + [
+        # a new label moves the true buffer off the stored successor
+        (lambda g: setattr(g.output_transition(("adad", "adad")), "output",
+                           "acac"),
+         "stuck: successor buffer mismatch after 'acac'"),
+    ], ids=["chunk-dst", "output-dst", "no-chunk-edge", "no-output",
+            "output-label"])
+    def test_corruption_after_a_run(self, fixture_text, corrupt, message):
+        # the successor memo is keyed by values, so a run on the intact
+        # graph leaves nothing behind that hides a later corruption
+        graph = parse_graph(fixture_text)
+        assert transduce(graph, ("dada", "dada")).output == DADA_OUTPUT
+        corrupt(graph)
+        with pytest.raises(TransduceError) as err:
+            transduce(graph, ("dada", "dada"))
+        assert str(err.value) == message
+
+    # a special's closing label is emitted unchecked, so only the run
+    # check sees that abadaba has sections (1, aba), not (1, b), and that
+    # ab has odd parity and no sections
+    @pytest.mark.parametrize("label", ["abadaba", "ab"])
+    def test_run_check_catches_a_wrong_special(self, fixture_text, label):
+        graph = parse_graph(fixture_text)
+        special = graph.special_transitions(("", ""))["b"]
+        graph.output_transition(special.dst).output = label
+        with pytest.raises(TransduceError) as err:
+            transduce(graph, ("", "b"))
+        assert str(err.value) == "not in the section image: run check failed"
+
+    def test_outputs_pinned(self, fixture_graph):
+        # 300 seeded pairs of words up to 40 letters, hashed as
+        # output|used_special|consumed_chunks, one line per pair
+        rng = random.Random(31337)
+        lines = []
+        for _ in range(300):
+            r = transduce(fixture_graph, random_pair(rng, 40))
+            lines.append(f"{r.output}|{r.used_special}|{r.consumed_chunks}")
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+            "7e960799da2ffdb314c185e22517696ed8950fb0ce3fdda5c8c4bb35a80da305"
+
+    def test_successor_memo_bounded(self, fixture_text):
+        graph = parse_graph(fixture_text)
+        verify_graph(graph)
+        rng = random.Random(2)
+        for _ in range(2000):
+            transduce(graph, random_pair(rng, 40))
+        memo = graph.successor_memo
+        assert len(memo) <= 2 * len(graph.transitions)
+        fresh = parse_graph(fixture_text)
+        for (src, consumed, emitted), succ in memo.items():
+            assert fresh.successor(src, consumed, emitted) == succ
 
     def test_exhaustive_small_consistency(self, fixture_graph):
         for length in range(7):
