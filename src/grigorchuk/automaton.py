@@ -52,6 +52,9 @@ CHUNK_PAIRS = [(x + "a", y + "a") for x in "dcb" for y in "dcb"]
 LAMBDA = "-"
 PAD = "_"
 
+# The empty buffer, where every run starts and ends and specials leave.
+START: Buffer = ("", "")
+
 # Chunk-shaped replacements for a trailing {b,c,d}-letter, element-equal
 # to the letter they replace; they let any minimal form be consumed as a
 # sequence of (letter, a) chunks.
@@ -67,14 +70,6 @@ class GraphFormatError(ValueError):
 
 class TransduceError(RuntimeError):
     """A run could not be completed on the given graph."""
-
-
-@dataclass
-class State:
-    buffer: Buffer
-    kind: str                     # "input" or "output"
-    initial: bool = False
-    final: bool = False
 
 
 @dataclass
@@ -143,11 +138,11 @@ def _text_to_buffer(text: str) -> Buffer:
 class TransducerGraph:
     def __init__(self, weights: Weight):
         self.weights = dict(weights)
-        self.states: dict[Buffer, State] = {}
+        # each state's kind, "input" or "output", keyed by its buffer
+        self.states: dict[Buffer, str] = {}
         self.transitions: list[Transition] = []
         # the transitions leaving each buffer, in insertion order
         self.by_source: dict[Buffer, list[Transition]] = {}
-        self._initial: State | None = None
         self.forms = MinimalForms(weights)
         # successor results keyed by their argument values, so a changed
         # transition never reads a stale entry; the program's callers add
@@ -157,15 +152,10 @@ class TransducerGraph:
 
     # -- construction -------------------------------------------------------
 
-    def add_state(self, buffer: Buffer, kind: str, initial: bool = False,
-                  final: bool = False) -> State:
+    def add_state(self, buffer: Buffer, kind: str) -> None:
         if buffer in self.states:
             raise GraphFormatError(f"duplicate state {buffer_text(buffer)}")
-        st = State(buffer, kind, initial, final)
-        self.states[buffer] = st
-        if initial and self._initial is None:
-            self._initial = st
-        return st
+        self.states[buffer] = kind
 
     def add_transition(self, t: Transition) -> None:
         self.transitions.append(t)
@@ -179,11 +169,6 @@ class TransducerGraph:
         if swapped in self.states:
             return swapped
         return None
-
-    def initial_state(self) -> State:
-        if self._initial is None:
-            raise GraphFormatError("no initial state")
-        return self._initial
 
     def successor(self, src: Buffer, consumed: Buffer = ("", ""),
                   emitted: str = "") -> Buffer:
@@ -222,6 +207,11 @@ class TransducerGraph:
 # edge consumes a chunk, emits, or both; a special consumes a pad and emits.
 GRAMMAR = {"edge": (("in",), ("in", "out"), ("out",)),
            "special": (("pad", "out"),)}
+
+
+def _state_flags(buffer: Buffer, kind: str) -> list[str]:
+    """A state line's flags, which only the input state START carries."""
+    return ["initial", "final"] if (buffer, kind) == (START, "input") else []
 
 
 @contextmanager
@@ -263,9 +253,12 @@ def _read_transition(graph: TransducerGraph, tokens: list[str]
     output = labels.get("out")
     check_word(output or "")
     kind = "output" if step is None else "input"
-    if src not in graph.states or graph.states[src].kind != kind:
+    if graph.states.get(src) != kind:
         raise GraphFormatError(f"{directive} source {buffer_text(src)} is not "
                                f"a declared {kind} state")
+    if directive == "special" and src != START:
+        raise GraphFormatError(f"special source {buffer_text(src)} is not "
+                               f"the empty buffer {buffer_text(START)}")
     return src, step, output, target
 
 
@@ -273,11 +266,12 @@ def parse_graph(text: str) -> TransducerGraph:
     """Parse the line-oriented graph format; raise GraphFormatError early.
 
     Structural requirements enforced here: a weights line first, unique
-    state declarations, canonical buffer words, an initial state, nine
-    distinct chunk successors per input state, transition lines shaped as
-    GRAMMAR says, and resolvable transition endpoints (a successor may be
-    stored with swapped components).  A bad line raises GraphFormatError
-    naming it, whatever the cause: bad words, non-triangular weights.
+    state declarations, canonical buffer words, START as the one flagged
+    state, nine distinct chunk successors per input state, transition
+    lines shaped as GRAMMAR says, specials only at START, and resolvable
+    transition endpoints (a successor may be stored with swapped
+    components).  A bad line raises GraphFormatError naming it, whatever
+    the cause: bad words, non-triangular weights.
     """
     graph: TransducerGraph | None = None
     pending: list[tuple[int, list[str]]] = []
@@ -296,23 +290,26 @@ def parse_graph(text: str) -> TransducerGraph:
             elif directive == "state":
                 if len(tokens) < 3 or tokens[2] not in ("input", "output"):
                     raise GraphFormatError("malformed state line")
-                buffer = _text_to_buffer(tokens[1])
-                flags = tokens[3:]
-                bad = [f for f in flags if f not in ("initial", "final")]
-                if bad:
-                    raise GraphFormatError(f"unknown flag {bad[0]!r}")
+                buffer, kind = _text_to_buffer(tokens[1]), tokens[2]
+                graph.add_state(buffer, kind)  # a duplicate fails first
+                flags = _state_flags(buffer, kind)
+                if buffer == START and tokens[2:] != ["input", *flags]:
+                    raise GraphFormatError(
+                        f"no initial state: {buffer_text(START)} must be "
+                        f"declared 'input initial final'")
+                if tokens[3:] != flags:
+                    raise GraphFormatError(
+                        f"flags on {buffer_text(buffer)}: only "
+                        f"{buffer_text(START)} is 'initial final'")
                 for comp in buffer:
                     if graph.forms.minimal_form(comp) != comp:
                         raise GraphFormatError(f"non-minimal buffer word {comp!r}")
-                graph.add_state(buffer, tokens[2], "initial" in flags,
-                                "final" in flags)
             elif directive in GRAMMAR:
                 pending.append((lineno, tokens))
             else:
                 raise GraphFormatError(f"unknown directive {directive!r}")
-    if graph is None:
+    if graph is None or START not in graph.states:
         raise GraphFormatError("no initial state")
-    graph.initial_state()
 
     # First pass: read every transition line and materialize the implicit
     # output state of each line that consumes and emits, so later lines
@@ -328,7 +325,7 @@ def parse_graph(text: str) -> TransducerGraph:
                 state = step.dst = graph.successor(src, step.consumed_words())
                 if state not in graph.states:
                     graph.add_state(state, "output")
-                elif graph.states[state].kind != "output":
+                elif graph.states[state] != "output":
                     raise GraphFormatError(f"middle buffer {buffer_text(state)} "
                                            f"is a declared input state")
             parsed.append((lineno, step, state, output, target))
@@ -346,7 +343,7 @@ def parse_graph(text: str) -> TransducerGraph:
                 if output is None:
                     # a chunk reaches an output state only as its middle
                     # buffer, the one way the serialization can write it
-                    if graph.states[dst].kind == "output" and dst != (
+                    if graph.states[dst] == "output" and dst != (
                             mid := graph.successor(state, step.chunk)):
                         raise GraphFormatError(
                             f"edge reaches output state {buffer_text(dst)}, "
@@ -367,12 +364,12 @@ def parse_graph(text: str) -> TransducerGraph:
             elif not special:
                 prior.special = False
 
-    for st in graph.states.values():
-        chunks = [t.chunk for t in graph.by_source.get(st.buffer, ())
+    for buffer, kind in graph.states.items():
+        chunks = [t.chunk for t in graph.by_source.get(buffer, ())
                   if t.chunk is not None]
-        if st.kind == "input" and (len(chunks) != 9 or len(set(chunks)) != 9):
+        if kind == "input" and (len(chunks) != 9 or len(set(chunks)) != 9):
             raise GraphFormatError(
-                f"wrong successor count at {buffer_text(st.buffer)}: "
+                f"wrong successor count at {buffer_text(buffer)}: "
                 f"{len(chunks)} chunk edges, {len(set(chunks))} distinct")
     return graph
 
@@ -387,21 +384,20 @@ def serialize_graph(graph: TransducerGraph) -> str:
     lines = ["weights " + format_weights(graph.weights)]
     chunk_covered = {t.dst for t in graph.transitions
                      if t.chunk is not None
-                     and graph.states[t.dst].kind == "output"}
-    for st in graph.states.values():
-        if st.kind == "input":
-            flags = (" initial" if st.initial else "") + \
-                (" final" if st.final else "")
-            lines.append(f"state {buffer_text(st.buffer)} input{flags}")
-    for st in graph.states.values():
-        if st.kind == "output" and st.buffer not in chunk_covered:
-            out = graph.output_transition(st.buffer)
+                     and graph.states[t.dst] == "output"}
+    for b, kind in graph.states.items():
+        if kind == "input":
+            lines.append(" ".join(["state", buffer_text(b), kind,
+                                   *_state_flags(b, kind)]))
+    for b, kind in graph.states.items():
+        if kind == "output" and b not in chunk_covered:
+            out = graph.output_transition(b)
             if out is not None and not out.special:
-                lines.append(f"state {buffer_text(st.buffer)} output")
+                lines.append(f"state {buffer_text(b)} output")
     for t in graph.transitions:
         if t.chunk is not None:
             out = graph.output_transition(t.dst) \
-                if graph.states[t.dst].kind == "output" else None
+                if graph.states[t.dst] == "output" else None
             if out is None:
                 lines.append(f"edge {buffer_text(t.src)} in "
                              f"{buffer_text(t.chunk)} -> "
@@ -431,16 +427,19 @@ def verify_graph(graph: TransducerGraph) -> VerificationReport:
 
     Every transition must reach graph.successor of its source, reading
     its chunk or pad and writing its output; output labels must also be
-    parity-even and weight-minimal, pads must lie in the closure of b at
-    a section-pair buffer, input states need nine distinct successors
-    and no output, and output states exactly one output.  A successor
-    stored with swapped components is accepted and counted, not flagged.
+    parity-even and weight-minimal, specials must leave the input state
+    START and read pads in the closure of b, input states need nine
+    distinct successors and no output, and output states exactly one
+    output.  A successor stored with swapped components is accepted and
+    counted, not flagged.
     """
     report = VerificationReport()
-    report.input_states = sum(1 for s in graph.states.values()
-                              if s.kind == "input")
+    report.input_states = list(graph.states.values()).count("input")
     report.output_states = len(graph.states) - report.input_states
     report.transitions = len(graph.transitions)
+    if graph.states.get(START) != "input":
+        report.violations.append(
+            f"no input state {buffer_text(START)} to start runs at")
 
     for t in graph.transitions:
         src_name = buffer_text(t.src)
@@ -465,10 +464,10 @@ def verify_graph(graph: TransducerGraph) -> VerificationReport:
                 report.violations.append(
                     f"special at {src_name} consumes {t.pad!r} outside the "
                     f"closure of b")
-            if not pair_in_section_image(*graph.states[t.src].buffer):
+            if t.src != START:
                 report.violations.append(
-                    f"special attached at {src_name} whose buffer is not a "
-                    f"section pair")
+                    f"special attached at {src_name}, not at the empty "
+                    f"buffer {buffer_text(START)}")
         expect = graph.successor(t.src, t.consumed_words(), t.output or "")
         if t.dst == expect:
             pass
@@ -479,17 +478,17 @@ def verify_graph(graph: TransducerGraph) -> VerificationReport:
                 f"{label} at {src_name} should reach {buffer_text(expect)}, "
                 f"found {buffer_text(t.dst)}")
 
-    for st in graph.states.values():
-        leaving = graph.by_source.get(st.buffer, ())
+    for buffer, kind in graph.states.items():
+        leaving = graph.by_source.get(buffer, ())
         outs = sum(1 for t in leaving if t.output is not None)
-        name = f"{st.kind} state {buffer_text(st.buffer)}"
-        if st.kind == "input":
+        name = f"{kind} state {buffer_text(buffer)}"
+        if kind == "input":
             chunks = set(t.chunk for t in leaving if t.chunk is not None)
             if len(chunks) != 9:
                 report.violations.append(
                     f"{name} has {len(chunks)} distinct chunk successors, "
                     f"expected 9")
-        expected = 1 if st.kind == "output" else 0
+        expected = 1 if kind == "output" else 0
         if outs != expected:
             report.violations.append(
                 f"{name} has {outs} output transitions, expected {expected}")
@@ -660,13 +659,13 @@ def transduce(graph: TransducerGraph, pair: Buffer) -> TransduceResult:
     short answer prefix, rewrite trailing letters into chunk shape, and
     append neutral (da)^4 blocks so the first stream exhausts at most four
     chunks before the second.  The run then alternates chunk consumption
-    with output chains, accepting swapped successor orientations by
-    emitting the mirror conjugate a*v*a.  When the first stream is empty
-    the residue is closed off through a special transition when the run
-    sits unmirrored at the empty buffer, the only state specials are read
-    (or built) at, and one matches; otherwise through the baseline
-    preimage of the remaining buffer, whose size is bounded by the graph's
-    buffers plus eight letters.
+    with output chains from START, accepting swapped successor
+    orientations by emitting the mirror conjugate a*v*a; an odd output
+    label stops it.  When the first stream is empty the residue is closed
+    off through a special transition when the run sits unmirrored at
+    START, the only state specials leave, and one matches; otherwise
+    through the baseline preimage of the remaining buffer, whose size is
+    bounded by the graph's buffers plus eight letters.
 
     The run check takes the written parts' segment form once.  That form
     spells the answer, and the answer passes when its parity is even and
@@ -692,9 +691,8 @@ def transduce(graph: TransducerGraph, pair: Buffer) -> TransduceResult:
     chunks0 = [p0[i:i + 2] for i in range(0, len(p0), 2)]
     chunks1 = [p1[i:i + 2] for i in range(0, len(p1), 2)]
 
-    state = graph.initial_state()
+    state = true = START
     mirror = 0
-    true = ("", "")
     parts = [prefix]
     pos = 0
     used_special = False
@@ -705,12 +703,15 @@ def transduce(graph: TransducerGraph, pair: Buffer) -> TransduceResult:
     while True:
         # parts[-1] is the word written, a*v*a when mirrored, whose
         # sections are those of v swapped
-        if state.kind == "output":
-            t = graph.output_transition(state.buffer)
+        if graph.states.get(state) == "output":
+            t = graph.output_transition(state)
             if t is None:
                 raise TransduceError(
-                    f"stuck: no output transition at "
-                    f"{buffer_text(state.buffer)}")
+                    f"stuck: no output transition at {buffer_text(state)}")
+            if not in_H(t.output):
+                raise TransduceError(
+                    f"stuck: output {t.output!r} at {buffer_text(state)} has "
+                    f"odd a-parity")
             emit(t.output)
             true = graph.successor(true, emitted=parts[-1])
             key = None
@@ -721,18 +722,18 @@ def transduce(graph: TransducerGraph, pair: Buffer) -> TransduceResult:
             pos += 1
             key = (c1, c0) if mirror else (c0, c1)
             # the last matching edge, the one input_transitions keeps
-            for t in reversed(graph.by_source.get(state.buffer, ())):
+            for t in reversed(graph.by_source.get(state, ())):
                 if t.chunk == key:
                     break
             else:
                 raise TransduceError(f"stuck: no chunk edge {key} at "
-                                     f"{buffer_text(state.buffer)}")
+                                     f"{buffer_text(state)}")
             true = graph.successor(true, (c0, c1))
         # the mirror bit under which the successor's buffer is the true one
-        state = graph.states[t.dst]
-        if state.buffer == true:
+        state = t.dst
+        if state == true:
             mirror = 0
-        elif state.buffer == (true[1], true[0]):
+        elif state == (true[1], true[0]):
             mirror = 1
         else:
             after = repr(t.output) if key is None else f"chunk {key}"
@@ -742,13 +743,11 @@ def transduce(graph: TransducerGraph, pair: Buffer) -> TransduceResult:
     rest = "".join(chunks1[pos:])
     residue0 = true[0]
     residue1 = free_reduce(true[1] + rest)
-    if not mirror and state.buffer == ("", "") and residue0 == "":
-        canonical = graph.forms.minimal_form(residue1)
-        specials = graph.special_transitions(state.buffer)
-        if canonical in specials:
-            t = specials[canonical]
-            closing = graph.output_transition(t.dst)
-            emit(closing.output)
+    if not mirror and state == START and residue0 == "":
+        t = graph.special_transitions(START).get(
+            graph.forms.minimal_form(residue1))
+        if t is not None:
+            emit(graph.output_transition(t.dst).output)
             used_special = True
             residue1 = ""
     if residue0 or residue1:
@@ -784,8 +783,8 @@ def preimage_constant(graph: TransducerGraph, weights: Weight | None = None) -> 
                   for x in "bcd") / SCALE
     padding = 2 * word_weight(PADDING_BLOCK, weights) / SCALE
     overhead = eta * (rewrite + padding + word_weight("ca", weights) / SCALE)
-    max_buffer = max((len(comp) for st in graph.states.values()
-                      if st.kind == "input" for comp in st.buffer), default=0)
+    max_buffer = max((len(comp) for b, kind in graph.states.items()
+                      if kind == "input" for comp in b), default=0)
     # psi_preimage_basic's length bound for residues of max_buffer + 8
     residue_len = 6 * (max_buffer + 8) + 4
     closing = residue_len * max(weights.values()) / SCALE
@@ -793,21 +792,20 @@ def preimage_constant(graph: TransducerGraph, weights: Weight | None = None) -> 
 
 
 def first_loop_ratio(graph: TransducerGraph, weights: Weight | None = None) -> float:
-    """Ratio of the shortest loop at the initial state reading (da,da)(da,da).
+    """Ratio of the shortest loop at START reading (da,da)(da,da).
 
     This loop consumes the chunk (da,da) twice and emits one output label;
     it pins down the normalization 2*out/(in0+in1) of the cycle ratio.
     """
     weights = weights or graph.weights
-    start = graph.initial_state().buffer
-    t1 = graph.input_transitions(start).get(("da", "da"))
+    t1 = graph.input_transitions(START).get(("da", "da"))
     if t1 is None:
         raise TransduceError("initial state has no (da,da) edge")
     t2 = graph.input_transitions(t1.dst).get(("da", "da"))
     if t2 is None:
         raise TransduceError("no second (da,da) edge")
     out = graph.output_transition(t2.dst)
-    if out is None or out.dst != start:
+    if out is None or out.dst != START:
         raise TransduceError("the (da,da)(da,da) path does not close up")
     i = t1.consumed(weights)
     j = t2.consumed(weights)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .automaton import CHUNK_PAIRS, Buffer, Transition, TransducerGraph
+from .automaton import CHUNK_PAIRS, START, Buffer, Transition, TransducerGraph
 from .elements import element_of, mul
 from .minforms import MinimalForms, SCALE, Weight, check_weights, word_weight
 from .words import in_B, in_H, psi, psi_preimage_basic, rev
@@ -164,8 +164,8 @@ def build(params: BuildParams, log: list[str] | None = None) -> TransducerGraph:
             chunk_targets.add(succ)
             queue.append(succ)
 
-    graph.add_state(("", ""), "input", initial=True, final=True)
-    expand(("", ""))
+    graph.add_state(START, "input")
+    expand(START)
     while queue:
         buf = queue.popleft()
         if buf in graph.states:
@@ -194,7 +194,7 @@ def build(params: BuildParams, log: list[str] | None = None) -> TransducerGraph:
             log.append(f"input {buf}")
 
     attached = attach_specials(graph, log)
-    n_in = sum(1 for s in graph.states.values() if s.kind == "input")
+    n_in = list(graph.states.values()).count("input")
     log.append(f"states: {len(graph.states)} ({n_in} input), "
                f"specials attached: {attached}")
     log.append(f"candidates scanned: {scanned}")
@@ -216,18 +216,18 @@ def attach_specials(graph: TransducerGraph, log: list[str]) -> int:
             raise RuntimeError(
                 f"no special preimage found within bound at ('', '') "
                 f"for {u!r}")
-        mid = graph.successor(("", ""), ("", u))
+        mid = graph.successor(START, ("", u))
         if mid in graph.states:
             existing = graph.output_transition(mid)
             if existing is None or existing.output != label \
-                    or existing.dst != ("", ""):
+                    or existing.dst != START:
                 log.append(f"special {u!r} at ('', '') skipped: "
                            f"buffer {mid} already in use")
                 continue
         else:
             graph.add_state(mid, "output")
             graph.add_transition(
-                Transition(mid, ("", ""), output=label, special=True))
-        graph.add_transition(Transition(("", ""), mid, pad=u, special=True))
+                Transition(mid, START, output=label, special=True))
+        graph.add_transition(Transition(START, mid, pad=u, special=True))
         attached += 1
     return attached

@@ -72,15 +72,16 @@ edge (-,b) out d -> (-,-)
 special (-,-) pad (_,b) out d -> (-,-)
 """
 
-# A heavy chunk edge at (-,-) and a special at (da,-) share the output state
-# (da,da); the cycle through it has ratio 2*6/(2+2) = 3, the (ca,ca) one 1.
-HEAVY_EDGE = "edge (-,-) in (da,da) out cacaca -> (-,-)\n"
-HEAVY_SPECIAL = "special (da,-) pad (__,da) out cacaca -> (-,-)\n"
+# (-,-) reads (ba,ba) into the input state (ad,-), whose heavy (da,da) edge
+# shares its output state (-,da) with a special at (-,-); the one emitting
+# cycle, (-,-) -> (ad,-) -> (-,da) -> (-,-), has ratio 2*6/(4+4) = 1.5.
+HEAVY_EDGE = "edge (ad,-) in (da,da) out cacaca -> (-,-)\n"
+HEAVY_SPECIAL = "special (-,-) pad (__,da) out cacaca -> (-,-)\n"
 SHARED_HEAVY_MID = (
-    HEADER + "state (da,-) input\n"
-    + SILENT_LOOPS.replace("edge (-,-) in (da,da) -> (-,-)\n", "")
-    .replace("in (ca,ca) ->", "in (ca,ca) out ca ->")
-    + SILENT_LOOPS.replace("(-,-)", "(da,-)"))
+    HEADER + "state (ad,-) input\n"
+    + SILENT_LOOPS.replace("in (ba,ba) -> (-,-)", "in (ba,ba) -> (ad,-)")
+    + SILENT_LOOPS.replace("(-,-)", "(ad,-)")
+    .replace("edge (ad,-) in (da,da) -> (ad,-)\n", ""))
 
 # Two input states with nine silent loops each, except that the (da,da)
 # edge at (-,-) also emits, so its middle buffer is the input state (da,da).
@@ -138,7 +139,7 @@ def weighted_graph(n, edges):
     graph = TransducerGraph(UNIT_WEIGHTS)
     nodes = [("a" * i, "") for i in range(n)]
     for b in nodes:
-        graph.add_state(b, "input", initial=not b[0])
+        graph.add_state(b, "input")
     for u, v, i0, i1, out in edges:
         graph.add_transition(Transition(nodes[u], nodes[v],
                                         chunk=("a" * i0, "a" * i1),
@@ -196,7 +197,7 @@ def random_pair(rng, max_len=14):
 
 class TestParsing:
     def test_fixture_shape(self, fixture_graph):
-        kinds = [st.kind for st in fixture_graph.states.values()]
+        kinds = list(fixture_graph.states.values())
         assert len(fixture_graph.states) == 141
         assert kinds.count("input") == 12
         assert kinds.count("output") == 129
@@ -300,7 +301,8 @@ class TestParsing:
         lines = [HEAVY_EDGE, HEAVY_SPECIAL]
         graph = parse_graph(SHARED_HEAVY_MID + "".join(
             lines[::-1] if special_first else lines))
-        assert max_cycle_ratio(graph)[0] == 3.0
+        assert not graph.output_transition(("", "da")).special
+        assert max_cycle_ratio(graph)[0] == 1.5
         assert serialize_graph(graph) == serialize_graph(
             parse_graph(SHARED_HEAVY_MID + HEAVY_EDGE + HEAVY_SPECIAL))
 
@@ -322,6 +324,28 @@ class TestParsing:
             parse_graph(text)
         assert str(info.value).startswith("line 3: ")
         assert message in str(info.value)
+
+    # only (-,-) is flagged, as "input initial final", and only (-,-)
+    # has specials; each other declaration is an error naming its line
+    @pytest.mark.parametrize("text, lineno, message", [
+        (HEADER + "state (da,da) input initial\n", 3,
+         "flags on (da,da): only (-,-) is 'initial final'"),
+        (HEADER + "state (da,-) output final\n", 3,
+         "flags on (da,-): only (-,-) is 'initial final'"),
+        (HEADER + "state (da,da) input initial final\n", 3,
+         "flags on (da,da): only (-,-) is 'initial final'"),
+        (HEADER.replace("input initial final", "output"), 2,
+         "no initial state: (-,-) must be declared 'input initial final'"),
+        (HEADER.replace("input initial final", "output initial final"), 2,
+         "no initial state: (-,-) must be declared 'input initial final'"),
+        (SHARED_HEAVY_MID + "special (ad,-) pad (__,da) out cacaca -> (-,-)\n",
+         21, "special source (ad,-) is not the empty buffer (-,-)"),
+    ], ids=["initial-elsewhere", "final-elsewhere", "second-initial",
+            "start-output", "start-output-flagged", "special-elsewhere"])
+    def test_start_rules(self, text, lineno, message):
+        with pytest.raises(GraphFormatError) as info:
+            parse_graph(text)
+        assert str(info.value) == f"line {lineno}: {message}"
 
     def test_non_triangular_weights_line(self):
         text = TOY.replace("c=1", "c=5")
@@ -440,6 +464,16 @@ class TestVerification:
         assert "input state (da,da) has 1 output transitions, expected 0" \
             in verify_graph(graph).violations
 
+    def test_missing_start_caught(self):
+        # built in code without (-,-), a machine has nowhere to start runs
+        graph = TransducerGraph(UNIT_WEIGHTS)
+        graph.add_state(("da", "da"), "input")
+        assert "no input state (-,-) to start runs at" \
+            in verify_graph(graph).violations
+        with pytest.raises(TransduceError,
+                           match=r"^stuck: no chunk edge .* at \(-,-\)$"):
+            transduce(graph, ("dada", "dada"))
+
     # each corruption of the parsed fixture, made in code, trips one check;
     # (adad,adad) is the output state behind (da,da)'s (da,da) edge
     @pytest.mark.parametrize("corrupt, message", [
@@ -453,12 +487,15 @@ class TestVerification:
          "special at (-,-) consumes 'd' outside the closure of b"),
         (lambda g: g.add_transition(
             Transition(("a", ""), ("a", "b"), pad="b", special=True)),
-         "special attached at (a,-) whose buffer is not a section pair"),
+         "special attached at (a,-), not at the empty buffer (-,-)"),
+        (lambda g: g.add_transition(
+            Transition(("da", "da"), ("da", "dab"), pad="b", special=True)),
+         "special attached at (da,da), not at the empty buffer (-,-)"),
         (lambda g: setattr(g.input_transitions(("da", "da"))[("da", "da")],
                            "chunk", ("da", "ca")),
          "input state (da,da) has 8 distinct chunk successors, expected 9"),
     ], ids=["odd-parity", "not-minimal", "pad-outside-b",
-            "special-off-section-pair", "eight-chunks"])
+            "special-off-section-pair", "special-off-start", "eight-chunks"])
     def test_violation_texts(self, fixture_text, corrupt, message):
         graph = parse_graph(fixture_text)
         corrupt(graph)
@@ -562,6 +599,9 @@ STUCK = [
      "stuck: no chunk edge ('da', 'da') at (-,-)"),
     (lambda g: setattr(g.output_transition(("adad", "adad")), "output", None),
      "stuck: no output transition at (adad,adad)"),
+    (lambda g: setattr(g.output_transition(("adad", "adad")), "output",
+                       "acacac"),
+     "stuck: output 'acacac' at (adad,adad) has odd a-parity"),
 ]
 
 
@@ -597,7 +637,7 @@ class TestTransduce:
             assert str(err.value) == message
 
     @pytest.mark.parametrize("corrupt, message", STUCK,
-                             ids=["no-chunk-edge", "no-output"])
+                             ids=["no-chunk-edge", "no-output", "odd-output"])
     def test_stuck_texts(self, fixture_text, corrupt, message):
         graph = parse_graph(fixture_text)
         corrupt(graph)
@@ -611,7 +651,7 @@ class TestTransduce:
                            "acac"),
          "stuck: successor buffer mismatch after 'acac'"),
     ], ids=["chunk-dst", "output-dst", "no-chunk-edge", "no-output",
-            "output-label"])
+            "odd-output", "output-label"])
     def test_corruption_after_a_run(self, fixture_text, corrupt, message):
         # the successor memo is keyed by values, so a run on the intact
         # graph leaves nothing behind that hides a later corruption

@@ -84,7 +84,7 @@ class TestParams:
 
 class TestBuild:
     def test_shape(self, valley_graph):
-        kinds = [st.kind for st in valley_graph.states.values()]
+        kinds = list(valley_graph.states.values())
         assert len(valley_graph.states) == 221
         assert kinds.count("input") == 19
         assert kinds.count("output") == 202

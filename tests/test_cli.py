@@ -175,6 +175,18 @@ class TestGraphCommands:
         assert "graph verification failed" in err
         assert "violations: 1" in out
 
+    def test_verify_graph_rejects_moved_start(self, capsys, tmp_path):
+        # runs start at (-,-); flagged elsewhere, the file is refused where
+        # it loses the flags, before any transduce could get stuck
+        bad = FIXTURE_PATH.read_text().replace(
+            "state (-,-) input initial final\nstate (da,da) input\n",
+            "state (-,-) input\nstate (da,da) input initial final\n")
+        target = tmp_path / "moved.graph"
+        target.write_text(bad)
+        rc, out, err = run(capsys, "verify-graph", str(target))
+        assert (rc, out) == (1, "")
+        assert err.startswith("error: line 2: no initial state")
+
     def test_missing_file_is_io_error(self, capsys, tmp_path):
         rc, _, err = run(capsys, "verify-graph", str(tmp_path / "nope.graph"))
         assert rc == 2

@@ -13,7 +13,7 @@ successor buffer, per component), preferring the printed successor
 orientation and, when both orientations are admissible, the one whose
 forced element matches the printed label or its reverse.  All labels are
 then respelled in canonical minimal form under the reference weights.
-Special end-of-input transitions are attached at the initial state by
+Special end-of-input transitions are attached at the empty buffer by
 builder.attach_specials, as in the builder: one for every nonempty
 minimal form of at most eight letters in the closure of b.
 
@@ -180,8 +180,7 @@ def build_fixture() -> tuple[TransducerGraph, dict[str, int]]:
     graph = TransducerGraph(TUNED_WEIGHTS)
     forms = graph.forms
     for st in INPUT_STATES:
-        graph.add_state(st, "input", initial=(st == ("", "")),
-                        final=(st == ("", "")))
+        graph.add_state(st, "input")
 
     stats = {"repaired": 0, "respelled": 0, "swapped": 0}
     out_edges: dict[tuple[str, str], Transition] = {}
@@ -240,7 +239,7 @@ def main() -> int:
     report = verify_graph(graph)
     eta, cycle = max_cycle_ratio(graph)
     loop = first_loop_ratio(graph)
-    n_input = sum(1 for s in graph.states.values() if s.kind == "input")
+    n_input = list(graph.states.values()).count("input")
     print(f"states: {len(graph.states)} ({n_input} input), "
           f"transitions: {len(graph.transitions)}")
     print(f"labels repaired: {stats['repaired']}, respelled: "
