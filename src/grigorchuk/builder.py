@@ -16,13 +16,15 @@ build and for tools/make_fixture.py alike.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
 from .automaton import CHUNK_PAIRS, START, Buffer, Transition, TransducerGraph
-from .elements import element_of, mul
+from .elements import Element, element_of, mul, segment_element
 from .minforms import MinimalForms, SCALE, Weight, check_weights, word_weight
-from .words import in_B, in_H, psi, psi_preimage_basic, rev
+from .words import (in_B, in_H, psi_preimage_basic, rev, segment_sections,
+                    segments)
 
 # specials are the nonempty canonical forms in B of at most this many letters
 SPECIAL_LEN = 8
@@ -40,6 +42,8 @@ class BuildParams:
         check_weights(self.initial_weight)
         if not self.delta > 0:
             raise ValueError("delta must be positive")
+        if not math.isfinite(self.delta):
+            raise ValueError("delta must be finite")
         if not 2 < self.eta_prime <= 4:
             raise ValueError("eta_prime must lie in (2, 4]")
         if self.max_len < 4:
@@ -58,20 +62,28 @@ def _score(in0: int, in1: int, out0: int, out1: int, v_weight: int,
 
 @dataclass
 class _Candidate:
+    """An output word v, its weight, the inverses of its two sections and
+    their form weights (None if not settled)."""
     word: str
     weight: int
-    left: object
-    right: object
+    left: Element
+    right: Element
+    left_weight: int | None
+    right_weight: int | None
 
 
 def _candidates(forms: MinimalForms, max_len: int) -> list[_Candidate]:
+    # the sections of rev(v) are the inverses of v's sections; their
+    # elements are read off the segment forms, not spelled words
     out = []
+    form_weight = forms.form_weight
     for v in forms.enumerate_forms(max_len, in_H):
         if not v:
             continue
-        v0, v1 = psi(v)
-        out.append(_Candidate(v, word_weight(v, forms.weights),
-                              element_of(rev(v0)), element_of(rev(v1))))
+        _, s0, s1 = segment_sections(segments(rev(v)))
+        left, right = segment_element(s0), segment_element(s1)
+        out.append(_Candidate(v, word_weight(v, forms.weights), left, right,
+                              form_weight.get(left), form_weight.get(right)))
     return out
 
 
@@ -115,6 +127,18 @@ def build(params: BuildParams, log: list[str] | None = None) -> TransducerGraph:
         # the scan stops with the same winner.  The float bound is safe:
         # the numerator is an exact integer, and IEEE division and
         # addition are monotone.
+        #
+        # A candidate is skipped unscanned when the triangle inequality
+        # rules it out.  The buffer (w0, w1) holds canonical forms, so w0
+        # is the weight of its element e0.  The remainder r0 = v0^-1 * e0
+        # has weight o0 >= |w0 - a0|, with a0 the weight of v0^-1 (which
+        # is v0's weight), because |g*h| >= |g| - |h| and |g^-1| = |g|;
+        # likewise o1 >= |w1 - a1|.  The bonus term is at most
+        # delta*bal/SCALE.  So q <= (total - |w0-a0| - |w1-a1|)/W + bonus,
+        # where the numerator is again an exact integer and the float
+        # bound is monotone in it; a candidate whose bound fails the
+        # threshold or cannot beat best_q would be rejected by those same
+        # tests below, so skipping it leaves the winner unchanged.
         nonlocal scanned
         e0, e1 = element_of(buf[0]), element_of(buf[1])
         w0 = word_weight(buf[0], weights)
@@ -132,6 +156,12 @@ def build(params: BuildParams, log: list[str] | None = None) -> TransducerGraph:
                 break  # no later candidate can beat the best found
             if i == 0:
                 forms.extend(total + SCALE)
+            a0, a1 = cand.left_weight, cand.right_weight
+            if a0 is not None and a1 is not None:
+                bound = (total - abs(w0 - a0) - abs(w1 - a1)) / cand.weight \
+                    + bonus
+                if bound < threshold - 1e-12 or bound <= best_q + 1e-12:
+                    continue  # the triangle bound rules it out
             r0 = mul(cand.left, e0)
             o0 = form_weight.get(r0)
             if o0 is None:

@@ -118,6 +118,8 @@ def alpha_of_eta(eta: float) -> float:
     A cycle ratio below 4 certifies growth at least exp(n^alpha) with
     alpha strictly above 1/2; eta = 4 is the baseline alpha = 0.5.
     """
+    if not math.isfinite(eta):
+        raise ValueError("eta must be finite")
     if eta <= 1:
         raise ValueError("eta must exceed 1")
     return 1.0 / math.log2(eta)

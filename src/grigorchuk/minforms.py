@@ -18,11 +18,15 @@ reduces to a word pushed already: a cancellation gives the word's own
 settled prefix, and a merge such as ``...ab + c -> ...ad`` gives a word
 that the settled prefix ``...a`` pushed.  So the words that can settle,
 and their priorities, are those of a search over all extensions, and the
-canonical forms and their settle order are the same.  Each heap entry
-carries its element, the parent's element times one generator by
-``mul``, so settling caches only products whose right factor is b, c or
-d (see ``elements``).  Weights are positive, so a word never outranks
-its prefix and forms settle in order of non-decreasing weight.
+canonical forms and their settle order are the same.  A heap entry
+carries its parent's element and its last letter's atom, not its own
+element: the product of the two by ``mul`` is formed only when the entry
+is popped, and the entry is dropped if that element is settled already.
+Keys are unique per word, so the settle order does not depend on when
+elements are formed, and no element of the unsettled frontier is formed
+at all.  Settling caches only products whose right factor is b, c or d
+(see ``elements``).  Weights are positive, so a word never outranks its
+prefix and forms settle in order of non-decreasing weight.
 """
 
 from __future__ import annotations
@@ -138,8 +142,10 @@ class MinimalForms:
         # scaled weight of each settled form, keyed and ordered like table;
         # forms settle in priority order, so these never decrease
         self.form_weight: dict[Element, int] = {}
-        # (weight, length, key, element) of each pushed, unsettled word
-        self._heap: list[tuple[int, int, str, Element]] = [(0, 0, "", ATOMS[""])]
+        # (weight, length, key, parent element, last atom) of each pushed,
+        # unsettled word; the word's element is parent times atom
+        self._heap: list[tuple[int, int, str, Element, Element]] = [
+            (0, 0, "", ATOMS[""], ATOMS[""])]
         self._grow = {last: [(ch.translate(_KEY), weights[ch], ATOMS[ch])
                              for ch in letters]
                       for last, letters in _NEXT.items()}
@@ -149,14 +155,15 @@ class MinimalForms:
         """Settle every element of weight <= radius (scaled units).
 
         Pops words in priority order and settles each whose element is
-        new; a settled word pushes its reduced one-letter extensions
-        whose elements are not settled yet (see the module docstring).
+        new; a settled word pushes its reduced one-letter extensions (see
+        the module docstring).
         """
         if radius <= self._settled_upto:
             return
         heap, table, form_weight = self._heap, self.table, self.form_weight
         while heap and heap[0][0] <= radius:
-            weight, n, key, e = heapq.heappop(heap)
+            weight, n, key, parent, atom = heapq.heappop(heap)
+            e = mul(parent, atom)
             if e in table:
                 continue
             if len(table) >= self.element_budget:
@@ -166,9 +173,7 @@ class MinimalForms:
             table[e] = key.translate(_WORD)
             form_weight[e] = weight
             for digit, cost, atom in self._grow[key[-1:]]:
-                child = mul(e, atom)
-                if child not in table:
-                    heapq.heappush(heap, (weight + cost, n + 1, key + digit, child))
+                heapq.heappush(heap, (weight + cost, n + 1, key + digit, e, atom))
         self._settled_upto = radius
 
     def settled(self, word: str) -> Element:

@@ -2,6 +2,7 @@
 validation, and full deterministic builds."""
 
 import hashlib
+import math
 import random
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from grigorchuk import (
     BuildParams,
     build,
+    element_of,
     max_cycle_ratio,
     parse_graph,
     preimage_constant,
@@ -21,7 +23,7 @@ from grigorchuk import (
 from grigorchuk.builder import _candidates, _score
 from grigorchuk.minforms import (SCALE, UNIT_WEIGHTS, MinimalForms,
                                  parse_weights, word_weight)
-from grigorchuk.words import in_H
+from grigorchuk.words import in_H, rev
 
 # weights under which the construction lands on its lowest measured cycle
 # ratio; several build tests share one graph because a build takes seconds
@@ -75,6 +77,12 @@ class TestParams:
     def test_delta_positive(self):
         with pytest.raises(ValueError, match="delta"):
             BuildParams(initial_weight=VALLEY, delta=0.0).validate()
+
+    @pytest.mark.parametrize("delta", [math.inf, math.nan])
+    def test_delta_finite(self, delta):
+        # an infinite delta makes the bonus of a balanced buffer inf*0 = nan
+        with pytest.raises(ValueError, match="delta"):
+            BuildParams(initial_weight=VALLEY, delta=delta).validate()
 
     def test_triangular_weights_required(self):
         lopsided = {"a": 10000, "b": 10000, "c": 10000, "d": 30001}
@@ -143,27 +151,51 @@ class TestBuild:
         weights = [c.weight for c in _candidates(MinimalForms(VALLEY), 12)]
         assert weights == sorted(weights)
 
-    # sha256 of serialize_graph(build(...)) as a full, uncut scan gives it;
-    # a cut that changes a winner fails here
-    @pytest.mark.parametrize("kwargs, digest", [
+    def test_candidate_sections(self):
+        # each candidate holds the inverses of its word's sections, and
+        # their form weights for the scan's triangle bound
+        forms = MinimalForms(VALLEY)
+        for cand in _candidates(forms, 12):
+            v0, v1 = psi(cand.word)
+            assert cand.left is element_of(rev(v0))
+            assert cand.right is element_of(rev(v1))
+            assert cand.left_weight == forms.element_weight(v0)
+            assert cand.right_weight == forms.element_weight(v1)
+
+    # sha256 of serialize_graph(build(...)) as a full, uncut scan gives it,
+    # with the log's state count and candidates scanned; a cut or a skip
+    # that changes a winner, or a skip that changes the count, fails here
+    @pytest.mark.parametrize("kwargs, digest, states, scanned", [
         (dict(initial_weight=VALLEY, max_len=16),
-         "dfaee3ac1ea8ac5f2b6438374b2c20b3d36d711879f8ba2faf014b7b20144f06"),
+         "dfaee3ac1ea8ac5f2b6438374b2c20b3d36d711879f8ba2faf014b7b20144f06",
+         "221 (19 input), specials attached: 39", 105908),
         (dict(initial_weight=parse_weights("a=1 b=3.33 c=2.8 d=1.06"),
               max_len=14),
-         "e7f330f380b1e9a571c7be22354bf5c05949bc19a554148ad8ece49dbf4737df"),
+         "e7f330f380b1e9a571c7be22354bf5c05949bc19a554148ad8ece49dbf4737df",
+         "164 (13 input), specials attached: 38", 37108),
         (dict(initial_weight=dict(UNIT_WEIGHTS), max_len=12),
-         "889fabc63a1699c4c71fb08185cd08efb61af7c104bf746e20a1257d6109ca50"),
+         "889fabc63a1699c4c71fb08185cd08efb61af7c104bf746e20a1257d6109ca50",
+         "198 (18 input), specials attached: 39", 63861),
         (dict(initial_weight=parse_weights("a=1 b=2.5 c=2.2 d=1.4"),
               max_len=14, eta_prime=3.6),
-         "ab680534f7dd0a2d7de2fc780f758519fbee6464eb52abc62229d8e809c5a589"),
+         "ab680534f7dd0a2d7de2fc780f758519fbee6464eb52abc62229d8e809c5a589",
+         "188 (14 input), specials attached: 39", 67926),
         (dict(initial_weight=VALLEY, max_len=10, eta_prime=3.5),
-         "71ea5d72d86c9ccb98a8feeef6a79634e089f65837408dea0116fd7135094514"),
+         "71ea5d72d86c9ccb98a8feeef6a79634e089f65837408dea0116fd7135094514",
+         "504 (46 input), specials attached: 36", 91339),
+        # a larger delta makes the balance bonus decide winners
+        (dict(initial_weight=VALLEY, max_len=12, delta=0.05),
+         "636a9db5171ceccbc8b58f88ac644933c92a333f19c5cc7ff3a2a553cca30649",
+         "200 (17 input), specials attached: 39", 59697),
     ], ids=["valley-quality", "b3.33-c2.8-d1.06", "unit", "eta-prime-3.6",
-            "valley-eta-prime-3.5"])
-    def test_output_digest(self, kwargs, digest):
-        graph = build(BuildParams(**kwargs))
+            "valley-eta-prime-3.5", "valley-delta-0.05"])
+    def test_output_digest(self, kwargs, digest, states, scanned):
+        log = []
+        graph = build(BuildParams(**kwargs), log=log)
         text = serialize_graph(graph)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert log[-2:] == [f"states: {states}",
+                            f"candidates scanned: {scanned}"]
         # specials hang at the empty buffer, the one state transduce
         # reads them from
         assert all(t.src == ("", "")

@@ -120,6 +120,11 @@ class TestGrowthCommands:
         assert rc == 1
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("eta", ["nan", "inf"])
+    def test_alpha_rejects_non_finite_eta(self, capsys, eta):
+        assert run(capsys, "alpha", eta) == (1, "",
+                                             "error: eta must be finite\n")
+
     def test_bound(self, capsys):
         rc, out, _ = run(capsys, "bound", "1000", "--eta", "4", "--shift",
                          "12", "--base-radius", "8", "--base-count", "271")
@@ -254,6 +259,15 @@ class TestBuildOptimize:
                          "--out", str(tmp_path / "x.graph"))
         assert rc == 1
         assert "budget exceeded" in err
+
+    def test_build_rejects_infinite_delta(self, capsys, tmp_path):
+        rc, out, err = run(capsys, "build", "--weights",
+                           "a=1,b=2.7,c=2.0,d=1.3", "--delta", "inf",
+                           "--max-len", "8",
+                           "--out", str(tmp_path / "x.graph"))
+        assert (rc, out) == (1, "")
+        assert err == "error: delta must be finite\n"
+        assert not (tmp_path / "x.graph").exists()
 
     def test_optimize_round_trip(self, capsys, tmp_path):
         out_path = tmp_path / "weights.txt"

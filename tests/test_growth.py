@@ -76,6 +76,12 @@ class TestAlpha:
         with pytest.raises(ValueError):
             alpha_of_eta(0.5)
 
+    @pytest.mark.parametrize("eta", [math.nan, math.inf])
+    def test_rejects_non_finite(self, eta):
+        # nan used to give nan, and inf an exponent of 0
+        with pytest.raises(ValueError, match="finite"):
+            alpha_of_eta(eta)
+
 
 class TestLowerBound:
     PARAMS = BoundParams(eta=4.0, shift=12.0, base_radius=8.0, base_count=271)

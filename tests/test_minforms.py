@@ -1,6 +1,7 @@
 """Weighted minimal forms: weights, canonical spellings, enumeration."""
 
 import hashlib
+import heapq
 
 import pytest
 from hypothesis import given
@@ -8,8 +9,10 @@ from hypothesis import strategies as st
 
 from grigorchuk import (MinimalForms, SCALE, TUNED_WEIGHTS, UNIT_WEIGHTS,
                         element_of, parse_weights, word_weight, words_equal)
-from grigorchuk.minforms import format_scaled, is_triangular, scale_decimal
-from grigorchuk.words import in_H
+from grigorchuk.elements import ATOMS, mul
+from grigorchuk.minforms import (_WORD, format_scaled, is_triangular,
+                                 scale_decimal)
+from grigorchuk.words import in_H, rev
 
 words = st.text(alphabet="abcd", max_size=9)
 
@@ -144,6 +147,91 @@ class TestSettleOrder:
         with pytest.raises(RuntimeError,
                            match="element budget 5 exceeded at radius 2"):
             forms.extend(2 * SCALE)
+
+
+class EagerForms(MinimalForms):
+    """Reference settle that forms each word's element when it is pushed,
+    and pushes no word whose element is settled already."""
+
+    def __init__(self, weights, element_budget=10_000_000):
+        super().__init__(weights, element_budget)
+        self._heap = [(0, 0, "", ATOMS[""])]
+
+    def extend(self, radius):
+        if radius <= self._settled_upto:
+            return
+        heap, table, form_weight = self._heap, self.table, self.form_weight
+        while heap and heap[0][0] <= radius:
+            weight, n, key, e = heapq.heappop(heap)
+            if e in table:
+                continue
+            if len(table) >= self.element_budget:
+                raise RuntimeError(
+                    f"element budget {self.element_budget} exceeded at radius "
+                    f"{format_scaled(weight)}")
+            table[e] = key.translate(_WORD)
+            form_weight[e] = weight
+            for digit, cost, atom in self._grow[key[-1:]]:
+                child = mul(e, atom)
+                if child not in table:
+                    heapq.heappush(heap, (weight + cost, n + 1, key + digit,
+                                          child))
+        self._settled_upto = radius
+
+
+VALLEY = parse_weights("a=1 b=2.7 c=2.0 d=1.3")
+SETTLE_CASES = pytest.mark.parametrize("weights, radius", [
+    (UNIT_WEIGHTS, 16 * SCALE), (TUNED_WEIGHTS, 30 * SCALE),
+    (VALLEY, 26 * SCALE)], ids=["unit", "tuned", "valley"])
+
+
+class TestLazySettle:
+    # the settle forms an element when its word is popped; the eager
+    # reference above forms it when the word is pushed
+    @SETTLE_CASES
+    @pytest.mark.parametrize("steps", [
+        (), (0, 3 * SCALE, 3 * SCALE, 7 * SCALE + 1234, 15 * SCALE)],
+        ids=["one-call", "stepwise"])
+    def test_same_table(self, weights, radius, steps):
+        lazy, eager = MinimalForms(dict(weights)), EagerForms(dict(weights))
+        for r in (*steps, radius):
+            lazy.extend(r)
+            eager.extend(r)
+            assert list(lazy.table.items()) == list(eager.table.items())
+            assert list(lazy.form_weight.items()) == \
+                list(eager.form_weight.items())
+
+    # a word whose element is settled is dropped before the budget check,
+    # so the radius in the message is that of the next new element; at
+    # TUNED weights budgets 12 and 93 meet such a word first
+    @SETTLE_CASES
+    @pytest.mark.parametrize("budget", [1, 12, 93, 1234])
+    def test_budget_count(self, weights, radius, budget):
+        outcomes = []
+        for cls in (MinimalForms, EagerForms):
+            forms = cls(dict(weights), element_budget=budget)
+            with pytest.raises(RuntimeError) as info:
+                forms.extend(radius)
+            outcomes.append((str(info.value), list(forms.table.items())))
+        assert outcomes[0] == outcomes[1]
+        assert len(outcomes[0][1]) == budget
+
+
+@pytest.fixture(scope="module")
+def valley_forms():
+    return MinimalForms(dict(VALLEY))
+
+
+class TestTriangleBound:
+    # the builder skips candidates by |g*h| >= ||g| - |h||
+    @given(st.text(alphabet="abcd", max_size=7),
+           st.text(alphabet="abcd", max_size=7))
+    def test_product_weight(self, valley_forms, g, h):
+        assert element_of(g + h) is mul(element_of(g), element_of(h))
+        gw = valley_forms.element_weight(g)
+        hw = valley_forms.element_weight(h)
+        assert valley_forms.element_weight(g + h) >= abs(gw - hw)
+        assert valley_forms.element_weight(rev(g)) == gw
 
 
 class TestEnumeration:
