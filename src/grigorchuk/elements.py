@@ -136,7 +136,16 @@ def element_of(w: str) -> Element:
 
 
 def is_trivial(w: str) -> bool:
-    """Whether the word w represents the identity of the group."""
+    """Whether the word w represents the identity of the group.
+
+    The abelianization of the group is (Z/2)^3 on a, b, c, with d mapped
+    to b + c, so a word with an odd number of a's, an odd #b + #d or an
+    odd #c + #d is not trivial, and its element is never built.  A word
+    with any other letter goes to ``element_of``, which rejects it.
+    """
+    na, nb, nc, nd = w.count("a"), w.count("b"), w.count("c"), w.count("d")
+    if na + nb + nc + nd == len(w) and (na | (nb + nd) | (nc + nd)) & 1:
+        return False
     return element_of(w) is IDENTITY
 
 

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Sequence
 
-from .elements import words_equal
+from .elements import Element, element_of
 from .minforms import MinimalForms
-from .words import LETTERS, act_letter, free_reduce
+from .words import LETTERS, act_letter
 
 GrowthTable = list[tuple[int, int]]
 
@@ -55,7 +55,8 @@ def gamma_by_signature(max_len: int, probe_depth: int = 5) -> list[int]:
 
     Enumerates all freely reduced words up to the length, buckets them by
     their action on every binary string of length <= probe_depth, and
-    confirms equality inside each bucket exactly.  Deliberately avoids the
+    confirms equality inside each bucket exactly: a bucket holds the
+    elements of its words, each built once.  Deliberately avoids the
     canonical-form machinery so the two back-ends can check each other.
 
     A letter maps each probe to a probe of the same length, so one table
@@ -69,19 +70,22 @@ def gamma_by_signature(max_len: int, probe_depth: int = 5) -> list[int]:
     step = {g: [index[act_letter(g, s)] for s in probes] for g in LETTERS}
 
     counts = []
-    buckets: dict[tuple[int, ...], list[str]] = {}
+    buckets: dict[tuple[int, ...], list[Element]] = {}
     frontier = [("", tuple(range(len(probes))))]
     total = 0
     for length in range(max_len + 1):
         for w, sig in frontier:
             known = buckets.setdefault(sig, [])
-            if not any(words_equal(w, seen) for seen in known):
-                known.append(w)
+            e = element_of(w)
+            if e not in known:
+                known.append(e)
                 total += 1
         counts.append(total)
+        # a reduced word stays reduced by g exactly when it is empty or
+        # one of its last letter and g is a and the other is not
         frontier = [(w + g, tuple(map(step[g].__getitem__, sig)))
                     for w, sig in frontier for g in LETTERS
-                    if free_reduce(w + g) == w + g]
+                    if not w or (w[-1] == "a") != (g == "a")]
     return counts
 
 

@@ -9,7 +9,7 @@ reproducible.
 The search settles elements in order of (weight, word length, fixed
 letter order), which picks one canonical minimal form per element.  The
 frontier is kept between calls, so raising the radius resumes rather
-than restarts.
+than restarts, also after an element budget error.
 
 Only freely reduced words are searched, and each is pushed once, from
 its one-letter-shorter prefix: a word ending in a grows by b, c or d, a
@@ -18,15 +18,26 @@ reduces to a word pushed already: a cancellation gives the word's own
 settled prefix, and a merge such as ``...ab + c -> ...ad`` gives a word
 that the settled prefix ``...a`` pushed.  So the words that can settle,
 and their priorities, are those of a search over all extensions, and the
-canonical forms and their settle order are the same.  A heap entry
-carries its parent's element and its last letter's atom, not its own
-element: the product of the two by ``mul`` is formed only when the entry
-is popped, and the entry is dropped if that element is settled already.
-Keys are unique per word, so the settle order does not depend on when
-elements are formed, and no element of the unsettled frontier is formed
-at all.  Settling caches only products whose right factor is b, c or d
-(see ``elements``).  Weights are positive, so a word never outranks its
-prefix and forms settle in order of non-decreasing weight.
+canonical forms and their settle order are the same.
+
+The frontier is a bucket queue (Dial's algorithm): pushed words are
+grouped by their weight, and a small heap holds the distinct pending
+weights.  The lightest bucket is sorted once by (length, key) and
+settled in that order.  Keys are unique per word, so that is the order a
+single priority queue of (weight, length, key) would pop.  Weights are
+positive, so a settled word's children go to heavier buckets, and no
+word joins a bucket once it has started.  A bucket is dropped only when
+its loop ends, so a budget error leaves the frontier whole and a later
+call settles the rest.
+
+A bucket entry carries its parent's element and its last letter's atom,
+not its own element: the product of the two by ``mul`` is formed only
+when the entry is settled, and the entry is dropped if that element is
+settled already.  Keys are unique per word, so the settle order does not
+depend on when elements are formed, and no element of the unsettled
+frontier is formed at all.  Settling caches only products whose right
+factor is b, c or d (see ``elements``).  Forms settle in order of
+non-decreasing weight.
 """
 
 from __future__ import annotations
@@ -142,10 +153,12 @@ class MinimalForms:
         # scaled weight of each settled form, keyed and ordered like table;
         # forms settle in priority order, so these never decrease
         self.form_weight: dict[Element, int] = {}
-        # (weight, length, key, parent element, last atom) of each pushed,
-        # unsettled word; the word's element is parent times atom
-        self._heap: list[tuple[int, int, str, Element, Element]] = [
-            (0, 0, "", ATOMS[""], ATOMS[""])]
+        # pushed, unsettled words by weight: (length, key, parent element,
+        # last atom), the word's element being parent times atom; the heap
+        # holds each weight that has a bucket
+        self._buckets: dict[int, list[tuple[int, str, Element, Element]]] = {
+            0: [(0, "", ATOMS[""], ATOMS[""])]}
+        self._pending: list[int] = [0]
         self._grow = {last: [(ch.translate(_KEY), weights[ch], ATOMS[ch])
                              for ch in letters]
                       for last, letters in _NEXT.items()}
@@ -154,26 +167,39 @@ class MinimalForms:
     def extend(self, radius: int) -> None:
         """Settle every element of weight <= radius (scaled units).
 
-        Pops words in priority order and settles each whose element is
-        new; a settled word pushes its reduced one-letter extensions (see
-        the module docstring).
+        Takes the pending buckets of weight <= radius, lightest first,
+        each in (length, key) order, and settles each word whose element
+        is new; a settled word pushes its reduced one-letter extensions
+        (see the module docstring).
         """
         if radius <= self._settled_upto:
             return
-        heap, table, form_weight = self._heap, self.table, self.form_weight
-        while heap and heap[0][0] <= radius:
-            weight, n, key, parent, atom = heapq.heappop(heap)
-            e = mul(parent, atom)
-            if e in table:
-                continue
-            if len(table) >= self.element_budget:
-                raise RuntimeError(
-                    f"element budget {self.element_budget} exceeded at radius "
-                    f"{format_scaled(weight)}")
-            table[e] = key.translate(_WORD)
-            form_weight[e] = weight
-            for digit, cost, atom in self._grow[key[-1:]]:
-                heapq.heappush(heap, (weight + cost, n + 1, key + digit, e, atom))
+        buckets, pending = self._buckets, self._pending
+        table, form_weight = self.table, self.form_weight
+        budget, grow = self.element_budget, self._grow
+        while pending and pending[0] <= radius:
+            weight = pending[0]
+            bucket = buckets[weight]
+            bucket.sort()
+            for n, key, parent, atom in bucket:
+                e = mul(parent, atom)
+                if e in table:
+                    continue
+                if len(table) >= budget:
+                    raise RuntimeError(
+                        f"element budget {budget} exceeded at radius "
+                        f"{format_scaled(weight)}")
+                table[e] = key.translate(_WORD)
+                form_weight[e] = weight
+                for digit, cost, atom in grow[key[-1:]]:
+                    heavier = weight + cost
+                    child = buckets.get(heavier)
+                    if child is None:
+                        child = buckets[heavier] = []
+                        heapq.heappush(pending, heavier)
+                    child.append((n + 1, key + digit, e, atom))
+            del buckets[weight]
+            heapq.heappop(pending)
         self._settled_upto = radius
 
     def settled(self, word: str) -> Element:

@@ -9,10 +9,14 @@ from hypothesis import strategies as st
 from grigorchuk import (SCALE, UNIT_WEIGHTS, MinimalForms, element_of,
                         free_reduce, is_trivial, words_equal)
 from grigorchuk.elements import ATOMS, IDENTITY, cache_sizes, mul
+from grigorchuk.words import rev
 
 from conftest import long_words
 
 words = st.text(alphabet="abcd", max_size=10)
+# the relators (ad)^4, (ac)^8 and (ab)^16, which the word-problem benchmark
+# conjugates into trivial words
+RELATORS = ("ad" * 4, "ac" * 8, "ab" * 16)
 
 
 class TestTriviality:
@@ -55,9 +59,18 @@ class TestWordProblem:
                                        lambda w: words_equal("", w)],
                              ids=["is_trivial", "element_of", "words_equal"])
     def test_rejects_bad_letter(self, query):
-        with pytest.raises(ValueError,
-                           match="invalid letter 'x' in word 'axa'"):
-            query("axa")
+        # ax has an odd number of a's, so it tests that is_trivial's
+        # abelian reject does not answer for a word with a bad letter
+        for w in ("axa", "ax"):
+            with pytest.raises(ValueError,
+                               match=f"invalid letter 'x' in word '{w}'"):
+                query(w)
+
+    @given(st.one_of(long_words,
+                     st.builds(lambda u, r: u + r + rev(u), long_words,
+                               st.sampled_from(RELATORS))))
+    def test_trivial_is_identity(self, w):
+        assert is_trivial(w) == (element_of(w) is IDENTITY)
 
     @given(long_words)
     def test_element_is_product_of_atoms(self, w):

@@ -180,14 +180,19 @@ class EagerForms(MinimalForms):
 
 
 VALLEY = parse_weights("a=1 b=2.7 c=2.0 d=1.3")
+# near-degenerate triangular weights: b is 1e-4 short of c + d, and the
+# forms up to radius 16 take 118 distinct weights, so most weight
+# buckets of the settle hold few words
+NEAR_DEGENERATE = parse_weights("a=1 b=1.9999 c=1.0001 d=0.9999")
 SETTLE_CASES = pytest.mark.parametrize("weights, radius", [
     (UNIT_WEIGHTS, 16 * SCALE), (TUNED_WEIGHTS, 30 * SCALE),
-    (VALLEY, 26 * SCALE)], ids=["unit", "tuned", "valley"])
+    (VALLEY, 26 * SCALE), (NEAR_DEGENERATE, 16 * SCALE)],
+    ids=["unit", "tuned", "valley", "near-degenerate"])
 
 
 class TestLazySettle:
-    # the settle forms an element when its word is popped; the eager
-    # reference above forms it when the word is pushed
+    # the settle forms an element when its word leaves its weight bucket;
+    # the eager heap reference above forms it when the word is pushed
     @SETTLE_CASES
     @pytest.mark.parametrize("steps", [
         (), (0, 3 * SCALE, 3 * SCALE, 7 * SCALE + 1234, 15 * SCALE)],
@@ -215,6 +220,22 @@ class TestLazySettle:
             outcomes.append((str(info.value), list(forms.table.items())))
         assert outcomes[0] == outcomes[1]
         assert len(outcomes[0][1]) == budget
+
+    # a budget error leaves the word it stopped at queued, so raising
+    # the budget and settling again gives the table of one settle
+    @pytest.mark.parametrize("budget", [1, 5, 100, 200])
+    def test_resume_after_budget(self, budget):
+        fresh = MinimalForms(dict(UNIT_WEIGHTS))
+        fresh.extend(8 * SCALE)
+        resumed = MinimalForms(dict(UNIT_WEIGHTS), element_budget=budget)
+        with pytest.raises(RuntimeError, match="element budget"):
+            resumed.extend(8 * SCALE)
+        resumed.element_budget = 10_000_000
+        resumed.extend(8 * SCALE)
+        assert len(fresh.table) == 271
+        assert list(resumed.table.items()) == list(fresh.table.items())
+        assert list(resumed.form_weight.items()) == \
+            list(fresh.form_weight.items())
 
 
 @pytest.fixture(scope="module")
