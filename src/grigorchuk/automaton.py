@@ -7,6 +7,11 @@ minimal-form words: input vertices consume one chunk on each stream and
 have all nine successors, output vertices emit their single label and
 move to the buffer with that label's sections cancelled off.
 
+Each transition is one entry of ``TransducerGraph.transitions``, keyed
+by its source and the words it reads: (xa, ya) for a chunk edge, ("", u)
+for a special's pad, ("", "") for an output.  Insertion order is the
+serialized line order and the cycle-ratio engine's edge order.
+
 The central invariant is one successor rule, ``TransducerGraph.successor``:
 a transition from buffer (u0,u1) that consumes (x0,x1) and emits v
 reaches the minimal forms of
@@ -32,6 +37,7 @@ cycle exceeds it.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -76,22 +82,12 @@ class TransduceError(RuntimeError):
 class Transition:
     src: Buffer
     dst: Buffer
-    chunk: Buffer | None = None   # input label (xa, ya)
-    pad: str | None = None        # special input label: the consumed word u
+    reads: Buffer = ("", "")      # a chunk (xa, ya), a pad ("", u), or none
     output: str | None = None     # output label
     special: bool = False
 
-    def consumed_words(self) -> Buffer:
-        """The words read from the two input streams."""
-        if self.chunk is not None:
-            return self.chunk
-        if self.pad is not None:
-            return "", self.pad
-        return "", ""
-
     def consumed(self, w: Weight) -> tuple[int, int]:
-        x0, x1 = self.consumed_words()
-        return word_weight(x0, w), word_weight(x1, w)
+        return word_weight(self.reads[0], w), word_weight(self.reads[1], w)
 
     def emitted(self, w: Weight) -> int:
         return word_weight(self.output, w) if self.output is not None else 0
@@ -140,9 +136,8 @@ class TransducerGraph:
         self.weights = dict(weights)
         # each state's kind, "input" or "output", keyed by its buffer
         self.states: dict[Buffer, str] = {}
-        self.transitions: list[Transition] = []
-        # the transitions leaving each buffer, in insertion order
-        self.by_source: dict[Buffer, list[Transition]] = {}
+        # every transition keyed by (src, reads), in insertion order
+        self.transitions: dict[tuple[Buffer, Buffer], Transition] = {}
         self.forms = MinimalForms(weights)
         # successor results keyed by their argument values, so a changed
         # transition never reads a stale entry; the program's callers add
@@ -158,8 +153,16 @@ class TransducerGraph:
         self.states[buffer] = kind
 
     def add_transition(self, t: Transition) -> None:
-        self.transitions.append(t)
-        self.by_source.setdefault(t.src, []).append(t)
+        if (t.src, t.reads) in self.transitions:
+            raise GraphFormatError(f"repeated transition at "
+                                   f"{buffer_text(t.src)} reading "
+                                   f"{buffer_text(t.reads)}")
+        self.transitions[t.src, t.reads] = t
+
+    def edge(self, src: Buffer, reads: Buffer = ("", "")) -> Transition | None:
+        """The transition leaving src that reads the pair reads; by
+        default, the output transition of src."""
+        return self.transitions.get((src, reads))
 
     def resolve(self, buffer: Buffer) -> Buffer | None:
         """Find a stored state for the buffer, directly or swapped."""
@@ -185,20 +188,6 @@ class TransducerGraph:
             found = self.successor_memo[key] = (
                 self.forms.minimal_form(w0), self.forms.minimal_form(w1))
         return found
-
-    def input_transitions(self, src: Buffer) -> dict[Buffer, Transition]:
-        return {t.chunk: t for t in self.by_source.get(src, ())
-                if t.chunk is not None}
-
-    def output_transition(self, src: Buffer) -> Transition | None:
-        for t in self.by_source.get(src, ()):
-            if t.output is not None:
-                return t
-        return None
-
-    def special_transitions(self, src: Buffer) -> dict[str, Transition]:
-        return {t.pad: t for t in self.by_source.get(src, ())
-                if t.pad is not None}
 
 
 # --- parsing and serialization ---------------------------------------------
@@ -243,13 +232,13 @@ def _read_transition(graph: TransducerGraph, tokens: list[str]
         if chunk not in CHUNK_PAIRS:
             bad = next(p for p in chunk if p not in {x for x, _ in CHUNK_PAIRS})
             raise GraphFormatError(f"chunk {bad!r} is not of the form xa")
-        step = Transition(src, target, chunk=chunk)
+        step = Transition(src, target, reads=chunk)
     elif "pad" in labels:
         consumed = labels["pad"][1:-1].partition(",")[2]
         check_word(consumed)
         if labels["pad"] != f"({PAD * len(consumed)},{consumed})":
             raise GraphFormatError(f"malformed pad label {labels['pad']!r}")
-        step = Transition(src, target, pad=consumed, special=True)
+        step = Transition(src, target, reads=("", consumed), special=True)
     output = labels.get("out")
     check_word(output or "")
     kind = "output" if step is None else "input"
@@ -267,11 +256,12 @@ def parse_graph(text: str) -> TransducerGraph:
 
     Structural requirements enforced here: a weights line first, unique
     state declarations, canonical buffer words, START as the one flagged
-    state, nine distinct chunk successors per input state, transition
-    lines shaped as GRAMMAR says, specials only at START, and resolvable
-    transition endpoints (a successor may be stored with swapped
-    components).  A bad line raises GraphFormatError naming it, whatever
-    the cause: bad words, non-triangular weights.
+    state, nine chunk successors per input state, no chunk or pad read
+    twice from one state, transition lines shaped as GRAMMAR says,
+    specials only at START, and resolvable transition endpoints (a
+    successor may be stored with swapped components).  A bad line raises
+    GraphFormatError naming it, whatever the cause: bad words, repeated
+    transitions, non-triangular weights.
     """
     graph: TransducerGraph | None = None
     pending: list[tuple[int, list[str]]] = []
@@ -322,7 +312,7 @@ def parse_graph(text: str) -> TransducerGraph:
             if step is not None and output is not None:
                 # implicit output vertices are keyed by their exact buffer;
                 # a swapped pair is a different vertex with its own label
-                state = step.dst = graph.successor(src, step.consumed_words())
+                state = step.dst = graph.successor(src, step.reads)
                 if state not in graph.states:
                     graph.add_state(state, "output")
                 elif graph.states[state] != "output":
@@ -344,7 +334,7 @@ def parse_graph(text: str) -> TransducerGraph:
                     # a chunk reaches an output state only as its middle
                     # buffer, the one way the serialization can write it
                     if graph.states[dst] == "output" and dst != (
-                            mid := graph.successor(state, step.chunk)):
+                            mid := graph.successor(state, step.reads)):
                         raise GraphFormatError(
                             f"edge reaches output state {buffer_text(dst)}, "
                             f"not its middle buffer {buffer_text(mid)}")
@@ -353,7 +343,7 @@ def parse_graph(text: str) -> TransducerGraph:
             if output is None:
                 continue
             special = step is not None and step.special
-            prior = graph.output_transition(state)
+            prior = graph.edge(state)
             if prior is None:
                 graph.add_transition(
                     Transition(state, dst, output=output, special=special))
@@ -365,12 +355,11 @@ def parse_graph(text: str) -> TransducerGraph:
                 prior.special = False
 
     for buffer, kind in graph.states.items():
-        chunks = [t.chunk for t in graph.by_source.get(buffer, ())
-                  if t.chunk is not None]
-        if kind == "input" and (len(chunks) != 9 or len(set(chunks)) != 9):
+        chunks = sum((buffer, c) in graph.transitions for c in CHUNK_PAIRS)
+        if kind == "input" and chunks != 9:
             raise GraphFormatError(
                 f"wrong successor count at {buffer_text(buffer)}: "
-                f"{len(chunks)} chunk edges, {len(set(chunks))} distinct")
+                f"{chunks} chunk edges, expected 9")
     return graph
 
 
@@ -382,40 +371,40 @@ def serialize_graph(graph: TransducerGraph) -> str:
     is declared explicitly with its own output edge line.
     """
     lines = ["weights " + format_weights(graph.weights)]
-    chunk_covered = {t.dst for t in graph.transitions
-                     if t.chunk is not None
-                     and graph.states[t.dst] == "output"}
+    transitions = graph.transitions.values()
+    # only a chunk edge reads on the first stream
+    chunk_edges = [t for t in transitions if t.reads[0]]
+    chunk_covered = {t.dst for t in chunk_edges
+                     if graph.states[t.dst] == "output"}
     for b, kind in graph.states.items():
         if kind == "input":
             lines.append(" ".join(["state", buffer_text(b), kind,
                                    *_state_flags(b, kind)]))
     for b, kind in graph.states.items():
         if kind == "output" and b not in chunk_covered:
-            out = graph.output_transition(b)
+            out = graph.edge(b)
             if out is not None and not out.special:
                 lines.append(f"state {buffer_text(b)} output")
-    for t in graph.transitions:
-        if t.chunk is not None:
-            out = graph.output_transition(t.dst) \
-                if graph.states[t.dst] == "output" else None
-            if out is None:
-                lines.append(f"edge {buffer_text(t.src)} in "
-                             f"{buffer_text(t.chunk)} -> "
-                             f"{buffer_text(t.dst)}")
-            else:
-                lines.append(f"edge {buffer_text(t.src)} in "
-                             f"{buffer_text(t.chunk)} out {out.output} -> "
-                             f"{buffer_text(out.dst)}")
-    for t in graph.transitions:
+    for t in chunk_edges:
+        out = graph.edge(t.dst) if graph.states[t.dst] == "output" else None
+        if out is None:
+            lines.append(f"edge {buffer_text(t.src)} in "
+                         f"{buffer_text(t.reads)} -> {buffer_text(t.dst)}")
+        else:
+            lines.append(f"edge {buffer_text(t.src)} in "
+                         f"{buffer_text(t.reads)} out {out.output} -> "
+                         f"{buffer_text(out.dst)}")
+    for t in transitions:
         if t.output is not None and not t.special \
                 and t.src not in chunk_covered:
             lines.append(f"edge {buffer_text(t.src)} out {t.output} -> "
                          f"{buffer_text(t.dst)}")
-    for t in graph.transitions:
-        if t.pad is not None:
-            out = graph.output_transition(t.dst)
+    for t in transitions:
+        if t.special and t.output is None:
+            pad = t.reads[1]
+            out = graph.edge(t.dst)
             lines.append(f"special {buffer_text(t.src)} pad "
-                         f"({PAD * len(t.pad)},{t.pad}) out {out.output} -> "
+                         f"({PAD * len(pad)},{pad}) out {out.output} -> "
                          f"{buffer_text(out.dst)}")
     return "\n".join(lines) + "\n"
 
@@ -429,9 +418,9 @@ def verify_graph(graph: TransducerGraph) -> VerificationReport:
     its chunk or pad and writing its output; output labels must also be
     parity-even and weight-minimal, specials must leave the input state
     START and read pads in the closure of b, input states need nine
-    distinct successors and no output, and output states exactly one
-    output.  A successor stored with swapped components is accepted and
-    counted, not flagged.
+    chunk successors and no output, and output states exactly one
+    output and no chunk or pad.  A successor stored with swapped
+    components is accepted and counted, not flagged.
     """
     report = VerificationReport()
     report.input_states = list(graph.states.values()).count("input")
@@ -441,7 +430,7 @@ def verify_graph(graph: TransducerGraph) -> VerificationReport:
         report.violations.append(
             f"no input state {buffer_text(START)} to start runs at")
 
-    for t in graph.transitions:
+    for t in graph.transitions.values():
         src_name = buffer_text(t.src)
         if t.output is not None:
             label = f"output {t.output!r}"
@@ -456,19 +445,20 @@ def verify_graph(graph: TransducerGraph) -> VerificationReport:
                 report.notes.append(
                     f"{label} at {src_name} is minimal-weight but not the "
                     f"canonical spelling")
-        elif t.chunk is not None:
-            label = f"chunk {t.chunk}"
+        elif t.reads[0]:
+            label = f"chunk {t.reads}"
         else:
-            label = f"pad {t.pad!r}"
-            if not in_B(t.pad or ""):
+            pad = t.reads[1]
+            label = f"pad {pad!r}"
+            if not in_B(pad):
                 report.violations.append(
-                    f"special at {src_name} consumes {t.pad!r} outside the "
+                    f"special at {src_name} consumes {pad!r} outside the "
                     f"closure of b")
             if t.src != START:
                 report.violations.append(
                     f"special attached at {src_name}, not at the empty "
                     f"buffer {buffer_text(START)}")
-        expect = graph.successor(t.src, t.consumed_words(), t.output or "")
+        expect = graph.successor(t.src, t.reads, t.output or "")
         if t.dst == expect:
             pass
         elif t.dst == (expect[1], expect[0]):
@@ -478,16 +468,19 @@ def verify_graph(graph: TransducerGraph) -> VerificationReport:
                 f"{label} at {src_name} should reach {buffer_text(expect)}, "
                 f"found {buffer_text(t.dst)}")
 
+    leaving = Counter(src for src, _ in graph.transitions)
     for buffer, kind in graph.states.items():
-        leaving = graph.by_source.get(buffer, ())
-        outs = sum(1 for t in leaving if t.output is not None)
+        outs = int(graph.edge(buffer) is not None)
         name = f"{kind} state {buffer_text(buffer)}"
         if kind == "input":
-            chunks = set(t.chunk for t in leaving if t.chunk is not None)
-            if len(chunks) != 9:
+            chunks = sum((buffer, c) in graph.transitions for c in CHUNK_PAIRS)
+            if chunks != 9:
                 report.violations.append(
-                    f"{name} has {len(chunks)} distinct chunk successors, "
-                    f"expected 9")
+                    f"{name} has {chunks} chunk successors, expected 9")
+        elif leaving[buffer] > outs:
+            report.violations.append(
+                f"{name} has {leaving[buffer] - outs} chunk or pad "
+                f"transitions, expected 0")
         expected = 1 if kind == "output" else 0
         if outs != expected:
             report.violations.append(
@@ -496,17 +489,6 @@ def verify_graph(graph: TransducerGraph) -> VerificationReport:
 
 
 # --- cycle-ratio engine -----------------------------------------------------
-
-def _ratio_edges(graph: TransducerGraph, weights: Weight,
-                 exclude_special: bool) -> tuple[list[Transition], list]:
-    """The kept transitions, and their edges as (src_idx, dst_idx, in0,
-    in1, out) in scaled units."""
-    index = {b: i for i, b in enumerate(graph.states)}
-    kept = [t for t in graph.transitions
-            if not (exclude_special and t.special)]
-    return kept, [(index[t.src], index[t.dst], *t.consumed(weights),
-                   t.emitted(weights)) for t in kept]
-
 
 def _longest_walks(n: int, edges: list, num: int,
                    den: int) -> tuple[list[int] | None, list[int]]:
@@ -548,9 +530,9 @@ def _longest_walks(n: int, edges: list, num: int,
             return chain[depth[v]:][::-1], dist
 
 
-def _cycle_ratio(graph: TransducerGraph, weights: Weight,
-                 exclude_special: bool) -> tuple[Fraction, CycleReport, list[int]]:
-    """The exact maximal cycle ratio, its witness and its potentials.
+def _dinkelbach(n: int, edges: list) -> tuple[Fraction, list[int], list[int]]:
+    """The exact maximal cycle ratio over edges (u, v, in0, in1, out) on n
+    nodes, the edge indices of a cycle attaining it, and its potentials.
 
     Dinkelbach iteration: starting from r = 0, while some cycle has
     positive value under 2*out - r*(in0+in1), r becomes that cycle's own
@@ -559,22 +541,35 @@ def _cycle_ratio(graph: TransducerGraph, weights: Weight,
     the final relaxation (scaled by r's denominator) are the potentials
     certifying that no cycle exceeds it.
     """
-    n = len(graph.states)
-    kept, edges = _ratio_edges(graph, weights, exclude_special)
     eta = Fraction(0)
-    report = None
+    witness = None
     while True:
         cycle, dist = _longest_walks(n, edges, eta.numerator, eta.denominator)
         if cycle is None:
             break
-        i0, i1, out = (sum(edges[ei][k] for ei in cycle) for k in (2, 3, 4))
-        if i0 + i1 == 0:
+        consumed = sum(edges[ei][2] + edges[ei][3] for ei in cycle)
+        if consumed == 0:
             raise TransduceError("unbounded: cycle with output but no input")
-        eta = Fraction(2 * out, i0 + i1)
-        report = CycleReport([kept[ei] for ei in cycle], i0 / SCALE,
-                             i1 / SCALE, out / SCALE, float(eta))
-    if report is None:
+        eta = Fraction(2 * sum(edges[ei][4] for ei in cycle), consumed)
+        witness = cycle
+    if witness is None:
         raise TransduceError("no cycle with positive consumed weight")
+    return eta, witness, dist
+
+
+def _cycle_ratio(graph: TransducerGraph,
+                 weights: Weight) -> tuple[Fraction, CycleReport, list[int]]:
+    """The graph's exact maximal cycle ratio, its witness and its
+    potentials, in scaled units.  Special transitions are left out: no
+    certified number depends on them."""
+    index = {b: i for i, b in enumerate(graph.states)}
+    kept = [t for t in graph.transitions.values() if not t.special]
+    edges = [(index[t.src], index[t.dst], *t.consumed(weights),
+              t.emitted(weights)) for t in kept]
+    eta, cycle, dist = _dinkelbach(len(graph.states), edges)
+    i0, i1, out = (sum(edges[ei][k] for ei in cycle) for k in (2, 3, 4))
+    report = CycleReport([kept[ei] for ei in cycle], i0 / SCALE, i1 / SCALE,
+                         out / SCALE, float(eta))
     return eta, report, dist
 
 
@@ -584,16 +579,16 @@ def _walk_excess(eta: Fraction, dist: list[int]) -> float:
     return max(dist) / (2 * eta.denominator * SCALE)
 
 
-def max_cycle_ratio(graph: TransducerGraph, weights: Weight | None = None,
-                    exclude_special: bool = True) -> tuple[float, CycleReport]:
-    """Largest 2*out/(in0+in1) over directed cycles, with a witness.
+def max_cycle_ratio(graph: TransducerGraph, weights: Weight | None = None
+                    ) -> tuple[float, CycleReport]:
+    """Largest 2*out/(in0+in1) over directed cycles of non-special
+    transitions, with a witness.
 
     The value is exact: it is the witness cycle's own ratio, and no cycle
     beats it (see ``_cycle_ratio``).  Raises TransduceError when a cycle
     emits output without consuming input, or when no cycle emits output.
     """
-    eta, report, _ = _cycle_ratio(graph, weights or graph.weights,
-                                  exclude_special)
+    eta, report, _ = _cycle_ratio(graph, weights or graph.weights)
     return float(eta), report
 
 
@@ -606,8 +601,7 @@ def path_excess_constant(graph: TransducerGraph,
     result bounds how far any run's output can exceed eta/2 times its
     consumed weight.
     """
-    eta, _, dist = _cycle_ratio(graph, weights or graph.weights,
-                                exclude_special=True)
+    eta, _, dist = _cycle_ratio(graph, weights or graph.weights)
     return _walk_excess(eta, dist)
 
 
@@ -704,7 +698,7 @@ def transduce(graph: TransducerGraph, pair: Buffer) -> TransduceResult:
         # parts[-1] is the word written, a*v*a when mirrored, whose
         # sections are those of v swapped
         if graph.states.get(state) == "output":
-            t = graph.output_transition(state)
+            t = graph.edge(state)
             if t is None:
                 raise TransduceError(
                     f"stuck: no output transition at {buffer_text(state)}")
@@ -721,11 +715,8 @@ def transduce(graph: TransducerGraph, pair: Buffer) -> TransduceResult:
             c0, c1 = chunks0[pos], chunks1[pos]
             pos += 1
             key = (c1, c0) if mirror else (c0, c1)
-            # the last matching edge, the one input_transitions keeps
-            for t in reversed(graph.by_source.get(state, ())):
-                if t.chunk == key:
-                    break
-            else:
+            t = graph.edge(state, key)
+            if t is None:
                 raise TransduceError(f"stuck: no chunk edge {key} at "
                                      f"{buffer_text(state)}")
             true = graph.successor(true, (c0, c1))
@@ -744,10 +735,9 @@ def transduce(graph: TransducerGraph, pair: Buffer) -> TransduceResult:
     residue0 = true[0]
     residue1 = free_reduce(true[1] + rest)
     if not mirror and state == START and residue0 == "":
-        t = graph.special_transitions(START).get(
-            graph.forms.minimal_form(residue1))
+        t = graph.edge(START, ("", graph.forms.minimal_form(residue1)))
         if t is not None:
-            emit(graph.output_transition(t.dst).output)
+            emit(graph.edge(t.dst).output)
             used_special = True
             residue1 = ""
     if residue0 or residue1:
@@ -775,7 +765,7 @@ def preimage_constant(graph: TransducerGraph, weights: Weight | None = None) -> 
     the closing residue's baseline preimage.
     """
     weights = weights or graph.weights
-    exact, _, dist = _cycle_ratio(graph, weights, exclude_special=True)
+    exact, _, dist = _cycle_ratio(graph, weights)
     eta = float(exact)
     excess = _walk_excess(exact, dist)
     prefix = word_weight("aba", weights) / SCALE
@@ -798,13 +788,13 @@ def first_loop_ratio(graph: TransducerGraph, weights: Weight | None = None) -> f
     it pins down the normalization 2*out/(in0+in1) of the cycle ratio.
     """
     weights = weights or graph.weights
-    t1 = graph.input_transitions(START).get(("da", "da"))
+    t1 = graph.edge(START, ("da", "da"))
     if t1 is None:
         raise TransduceError("initial state has no (da,da) edge")
-    t2 = graph.input_transitions(t1.dst).get(("da", "da"))
+    t2 = graph.edge(t1.dst, ("da", "da"))
     if t2 is None:
         raise TransduceError("no second (da,da) edge")
-    out = graph.output_transition(t2.dst)
+    out = graph.edge(t2.dst)
     if out is None or out.dst != START:
         raise TransduceError("the (da,da)(da,da) path does not close up")
     i = t1.consumed(weights)

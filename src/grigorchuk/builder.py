@@ -190,7 +190,7 @@ def build(params: BuildParams, log: list[str] | None = None) -> TransducerGraph:
         """Hang the nine chunk edges of the input state buf."""
         for chunk in CHUNK_PAIRS:
             succ = graph.successor(buf, chunk)
-            graph.add_transition(Transition(buf, succ, chunk=chunk))
+            graph.add_transition(Transition(buf, succ, reads=chunk))
             chunk_targets.add(succ)
             queue.append(succ)
 
@@ -248,7 +248,7 @@ def attach_specials(graph: TransducerGraph, log: list[str]) -> int:
                 f"for {u!r}")
         mid = graph.successor(START, ("", u))
         if mid in graph.states:
-            existing = graph.output_transition(mid)
+            existing = graph.edge(mid)
             if existing is None or existing.output != label \
                     or existing.dst != START:
                 log.append(f"special {u!r} at ('', '') skipped: "
@@ -258,6 +258,7 @@ def attach_specials(graph: TransducerGraph, log: list[str]) -> int:
             graph.add_state(mid, "output")
             graph.add_transition(
                 Transition(mid, START, output=label, special=True))
-        graph.add_transition(Transition(START, mid, pad=u, special=True))
+        graph.add_transition(
+            Transition(START, mid, reads=("", u), special=True))
         attached += 1
     return attached

@@ -182,19 +182,18 @@ def _cmd_verify_graph(args) -> int:
 
 
 def _edge_text(t) -> str:
-    if t.chunk is not None:
-        label = f"in {buffer_text(t.chunk)}"
-    elif t.pad is not None:
-        label = f"pad {_show(t.pad)}"
-    else:
+    if t.output is not None:
         label = f"out {_show(t.output)}"
+    elif t.special:
+        label = f"pad {_show(t.reads[1])}"
+    else:
+        label = f"in {buffer_text(t.reads)}"
     return f"{buffer_text(t.src)} --{label}--> {buffer_text(t.dst)}"
 
 
 def _cmd_eta(args) -> int:
     graph = _load_graph(args.file)
-    eta, report = max_cycle_ratio(graph,
-                                  exclude_special=not args.include_special)
+    eta, report = max_cycle_ratio(graph)
     if args.json:
         print(json.dumps({
             "eta": eta,
@@ -330,7 +329,6 @@ def _parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("eta", help="largest cycle ratio with witness")
     q.add_argument("file")
-    q.add_argument("--include-special", action="store_true")
     q.add_argument("--json", action="store_true")
     q.set_defaults(fn=_cmd_eta)
 
@@ -349,10 +347,10 @@ def _parser() -> argparse.ArgumentParser:
     q = sub.add_parser("build", help="grow a transducer from scratch")
     q.add_argument("--weights", required=True,
                    help="weights file or inline a=..,b=..,c=..,d=..")
-    q.add_argument("--delta", type=float, default=0.01)
-    q.add_argument("--eta-prime", type=float, default=4.0)
-    q.add_argument("--max-len", type=int, default=20)
-    q.add_argument("--budget", type=int, default=5000)
+    q.add_argument("--delta", type=float, default=BuildParams.delta)
+    q.add_argument("--eta-prime", type=float, default=BuildParams.eta_prime)
+    q.add_argument("--max-len", type=int, default=BuildParams.max_len)
+    q.add_argument("--budget", type=int, default=BuildParams.budget)
     q.add_argument("--out", required=True)
     q.set_defaults(fn=_cmd_build)
 
@@ -363,7 +361,8 @@ def _parser() -> argparse.ArgumentParser:
     q.add_argument("--weights", help="initial weights, default: the graph's")
     q.add_argument("--schedule", default="default",
                    help='"default" or comma-separated step sizes')
-    q.add_argument("--max-iterations", type=int, default=2000)
+    q.add_argument("--max-iterations", type=int,
+                   default=OptimizerSchedule.max_iterations)
     q.add_argument("--out", required=True)
     q.set_defaults(fn=_cmd_optimize)
 

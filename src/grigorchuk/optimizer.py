@@ -115,7 +115,7 @@ def _gauge(weights: Weight) -> Weight:
 
 
 def _cut(witness: CycleReport) -> Cut:
-    consumed = "".join("".join(t.consumed_words()) for t in witness.cycle)
+    consumed = "".join("".join(t.reads) for t in witness.cycle)
     emitted = "".join(t.output for t in witness.cycle if t.output is not None)
     return (tuple(consumed.count(ch) for ch in LETTERS),
             tuple(emitted.count(ch) for ch in LETTERS))

@@ -184,13 +184,13 @@ def _floor_coefficients(graph):
         consumed = emitted = ""
         for i, (src, label) in enumerate(steps):
             nxt = buffer(steps[(i + 1) % len(steps)][0])
-            found = [t for t in graph.transitions
+            found = [t for t in graph.transitions.values()
                      if t.src == buffer(src) and t.dst == nxt
                      and not t.special
-                     and (t.chunk == buffer(label) if label[0] == "("
+                     and (t.reads == buffer(label) if label[0] == "("
                           else t.output == label)]
             assert len(found) == 1, f"no transition {src} {label}"
-            consumed += "".join(found[0].chunk or "")
+            consumed += "".join(found[0].reads)
             emitted += found[0].output or ""
         for ch in "abcd":
             total[ch] += multiplier * (2 * emitted.count(ch)

@@ -30,7 +30,7 @@ from grigorchuk import (
     words_equal,
 )
 from grigorchuk.automaton import (Transition, TransducerGraph, _cycle_ratio,
-                                  path_excess_constant)
+                                  _dinkelbach, path_excess_constant)
 from grigorchuk.minforms import SCALE, UNIT_WEIGHTS, parse_weights, word_weight
 from grigorchuk.words import in_H
 
@@ -133,20 +133,6 @@ def load_make_fixture():
     return module
 
 
-def weighted_graph(n, edges):
-    """A graph whose edge i consumes and emits runs of a of the given
-    lengths; the cycle-ratio engine sees only those weights."""
-    graph = TransducerGraph(UNIT_WEIGHTS)
-    nodes = [("a" * i, "") for i in range(n)]
-    for b in nodes:
-        graph.add_state(b, "input")
-    for u, v, i0, i1, out in edges:
-        graph.add_transition(Transition(nodes[u], nodes[v],
-                                        chunk=("a" * i0, "a" * i1),
-                                        output="a" * out))
-    return graph
-
-
 def simple_cycles(n, edges):
     """(in0+in1, out) of every simple cycle, each found once from its
     least node."""
@@ -167,9 +153,26 @@ def simple_cycles(n, edges):
     return found
 
 
+def replay_edges(n, edges):
+    """Check the engine core's exact eta on an edge list against its
+    witness cycle and potentials."""
+    eta, cycle, dist = _dinkelbach(n, edges)
+
+    def value(edge):
+        u, v, i0, i1, out = edge
+        return 2 * out * eta.denominator - eta.numerator * (i0 + i1)
+
+    for edge in edges:
+        assert value(edge) + dist[edge[0]] - dist[edge[1]] <= 0
+    walk = [edges[ei] for ei in cycle]
+    assert all(a[1] == b[0] for a, b in zip(walk, walk[1:] + walk[:1]))
+    assert sum(value(edge) for edge in walk) == 0
+    return eta
+
+
 def replay_certificate(graph):
     """Check the engine's exact eta against its witness and potentials."""
-    eta, report, dist = _cycle_ratio(graph, graph.weights, exclude_special=True)
+    eta, report, dist = _cycle_ratio(graph, graph.weights)
     index = {b: i for i, b in enumerate(graph.states)}
     w = graph.weights
 
@@ -177,7 +180,7 @@ def replay_certificate(graph):
         return (2 * t.emitted(w) * eta.denominator
                 - eta.numerator * sum(t.consumed(w)))
 
-    for t in graph.transitions:
+    for t in graph.transitions.values():
         if not t.special:
             assert value(t) + dist[index[t.src]] - dist[index[t.dst]] <= 0
     cycle = report.cycle
@@ -263,36 +266,36 @@ class TestParsing:
 
     def test_special_shares_output_state(self):
         graph = parse_graph(SHARED_MID)
-        outs = [t for t in graph.transitions
+        outs = [t for t in graph.transitions.values()
                 if t.src == ("", "b") and t.output is not None]
         assert [(t.output, t.dst, t.special) for t in outs] == [
             ("d", ("", ""), False)]
-        assert graph.special_transitions(("", ""))["b"].dst == ("", "b")
+        assert graph.edge(("", ""), ("", "b")).dst == ("", "b")
         assert serialize_graph(graph) == SHARED_MID
         # the silent loops land on the wrong buffers; (-,b) itself is sound
         assert not any("(-,b)" in v for v in verify_graph(graph).violations)
 
-    def test_queries_match_scan(self, fixture_graph):
+    def test_index_keys_name_source_and_reads(self, fixture_graph):
+        # the builder and the fixture generator retarget transitions after
+        # adding them; the key must still name each one's source and reads
         valley = parse_weights("a=1 b=2.7 c=2.0 d=1.3")
         graphs = [fixture_graph,
                   build(BuildParams(initial_weight=valley, max_len=12)),
                   load_make_fixture().build_fixture()[0]]
         for graph in graphs:
-            for buffer in graph.states:
-                leaving = [t for t in graph.transitions if t.src == buffer]
-                chunks = {t.chunk: t for t in leaving
-                          if t.chunk is not None and not t.special}
-                outs = [t for t in leaving if t.output is not None]
-                pads = {t.pad: t for t in leaving
-                        if t.special and t.pad is not None}
-                got = graph.input_transitions(buffer)
-                assert got.keys() == chunks.keys()
-                assert all(got[k] is chunks[k] for k in chunks)
-                assert graph.output_transition(buffer) is \
-                    (outs[0] if outs else None)
-                got = graph.special_transitions(buffer)
-                assert got.keys() == pads.keys()
-                assert all(got[k] is pads[k] for k in pads)
+            assert all(key == (t.src, t.reads)
+                       for key, t in graph.transitions.items())
+
+    @pytest.mark.parametrize("text, lineno, message", [
+        (TOY + "edge (-,-) in (da,ca) out ca -> (-,-)\n", 12,
+         "repeated transition at (-,-) reading (da,ca)"),
+        (SHARED_MID + "special (-,-) pad (_,b) out d -> (-,-)\n", 15,
+         "repeated transition at (-,-) reading (-,b)"),
+    ], ids=["edge", "special"])
+    def test_repeated_transition_line(self, text, lineno, message):
+        with pytest.raises(GraphFormatError) as info:
+            parse_graph(text)
+        assert str(info.value) == f"line {lineno}: {message}"
 
     @pytest.mark.parametrize("special_first", [False, True])
     def test_shared_output_special_only_if_every_line_is(self, special_first):
@@ -301,7 +304,7 @@ class TestParsing:
         lines = [HEAVY_EDGE, HEAVY_SPECIAL]
         graph = parse_graph(SHARED_HEAVY_MID + "".join(
             lines[::-1] if special_first else lines))
-        assert not graph.output_transition(("", "da")).special
+        assert not graph.edge(("", "da")).special
         assert max_cycle_ratio(graph)[0] == 1.5
         assert serialize_graph(graph) == serialize_graph(
             parse_graph(SHARED_HEAVY_MID + HEAVY_EDGE + HEAVY_SPECIAL))
@@ -450,7 +453,7 @@ class TestVerification:
         # declared output state, it is the one violation naming the pad
         graph = parse_graph(
             SHARED_MID + "state (-,d) output\nedge (-,d) out aca -> (-,-)\n")
-        graph.special_transitions(("", ""))["b"].dst = ("", "d")
+        graph.edge(("", ""), ("", "b")).dst = ("", "d")
         assert [v for v in verify_graph(graph).violations if "pad" in v] \
             == ["pad 'b' at (-,-) should reach (-,b), found (-,d)"]
 
@@ -474,28 +477,45 @@ class TestVerification:
                            match=r"^stuck: no chunk edge .* at \(-,-\)$"):
             transduce(graph, ("dada", "dada"))
 
+    def test_chunk_at_output_state_caught(self, fixture_text):
+        # the edge reaches its successor, but an output state emits and
+        # reads nothing: written out, the graph would not parse again
+        graph = parse_graph(fixture_text)
+        graph.add_transition(Transition(("dad", "da"), ("daba", "adad"),
+                                        reads=("ca", "da")))
+        assert verify_graph(graph).violations == [
+            "output state (dad,da) has 1 chunk or pad transitions, expected 0"]
+        with pytest.raises(GraphFormatError,
+                           match=r"edge source \(dad,da\) is not a declared "
+                                 r"input state"):
+            parse_graph(serialize_graph(graph))
+
     # each corruption of the parsed fixture, made in code, trips one check;
     # (adad,adad) is the output state behind (da,da)'s (da,da) edge
     @pytest.mark.parametrize("corrupt, message", [
-        (lambda g: setattr(g.output_transition(("adad", "adad")), "output",
-                           "acacac"),
+        (lambda g: setattr(g.edge(("adad", "adad")), "output", "acacac"),
          "output 'acacac' at (adad,adad) has odd a-parity"),
-        (lambda g: setattr(g.output_transition(("adad", "adad")), "output",
-                           "acacacacdd"),
+        (lambda g: setattr(g.edge(("adad", "adad")), "output", "acacacacdd"),
          "output 'acacacacdd' at (adad,adad) is not weight-minimal"),
-        (lambda g: setattr(g.special_transitions(("", ""))["b"], "pad", "d"),
+        (lambda g: g.add_transition(
+            Transition(("", ""), ("", "b"), reads=("", "d"), special=True)),
          "special at (-,-) consumes 'd' outside the closure of b"),
         (lambda g: g.add_transition(
-            Transition(("a", ""), ("a", "b"), pad="b", special=True)),
+            Transition(("a", ""), ("a", "b"), reads=("", "b"), special=True)),
          "special attached at (a,-), not at the empty buffer (-,-)"),
         (lambda g: g.add_transition(
-            Transition(("da", "da"), ("da", "dab"), pad="b", special=True)),
+            Transition(("da", "da"), ("da", "dab"), reads=("", "b"),
+                       special=True)),
          "special attached at (da,da), not at the empty buffer (-,-)"),
-        (lambda g: setattr(g.input_transitions(("da", "da"))[("da", "da")],
-                           "chunk", ("da", "ca")),
-         "input state (da,da) has 8 distinct chunk successors, expected 9"),
+        (lambda g: g.transitions.pop((("da", "da"), ("da", "da"))),
+         "input state (da,da) has 8 chunk successors, expected 9"),
+        (lambda g: g.add_transition(
+            Transition(("dad", "da"), ("dad", "dab"), reads=("", "b"),
+                       special=True)),
+         "output state (dad,da) has 1 chunk or pad transitions, expected 0"),
     ], ids=["odd-parity", "not-minimal", "pad-outside-b",
-            "special-off-section-pair", "special-off-start", "eight-chunks"])
+            "special-off-section-pair", "special-off-start", "eight-chunks",
+            "pad-at-output"])
     def test_violation_texts(self, fixture_text, corrupt, message):
         graph = parse_graph(fixture_text)
         corrupt(graph)
@@ -522,12 +542,6 @@ class TestCycleRatio:
     def test_fixture_eta_unit_weights(self, fixture_graph):
         ratio, _ = max_cycle_ratio(fixture_graph, dict(UNIT_WEIGHTS))
         assert ratio == pytest.approx(4.5, abs=1e-9)
-
-    def test_special_transitions_raise_ratio(self, fixture_graph):
-        excluded, _ = max_cycle_ratio(fixture_graph)
-        included, _ = max_cycle_ratio(fixture_graph, exclude_special=False)
-        assert included == pytest.approx(5.473016, abs=1e-4)
-        assert included > excluded
 
     def test_first_loop_ratio(self, fixture_graph):
         assert first_loop_ratio(fixture_graph) == pytest.approx(
@@ -557,7 +571,7 @@ class TestCycleRatio:
 
     def test_fixture_witness(self, fixture_graph):
         _, witness = max_cycle_ratio(fixture_graph)
-        steps = [(t.src, t.chunk or t.output) for t in witness.cycle]
+        steps = [(t.src, t.output or t.reads) for t in witness.cycle]
         assert any(steps[i:] + steps[:i] == FIXTURE_WITNESS
                    for i in range(len(steps)))
         assert (witness.in_weight0, witness.in_weight1,
@@ -566,17 +580,17 @@ class TestCycleRatio:
     @settings(max_examples=300, deadline=None)
     @given(SMALL_WEIGHTED_GRAPHS)
     def test_eta_matches_brute_force(self, spec):
-        graph = weighted_graph(*spec)
+        # the engine core runs on the raw multigraph, parallel edges kept
         cycles = simple_cycles(*spec)
         if any(consumed == 0 and emitted > 0 for consumed, emitted in cycles):
             with pytest.raises(TransduceError, match="unbounded"):
-                max_cycle_ratio(graph)
+                _dinkelbach(*spec)
         elif not any(emitted > 0 for _, emitted in cycles):
             with pytest.raises(TransduceError,
                                match="no cycle with positive consumed weight"):
-                max_cycle_ratio(graph)
+                _dinkelbach(*spec)
         else:
-            assert replay_certificate(graph) == max(
+            assert replay_edges(*spec) == max(
                 Fraction(2 * emitted, consumed)
                 for consumed, emitted in cycles if consumed)
 
@@ -586,21 +600,17 @@ class TestCycleRatio:
 # neither orientation of the true buffer, then a step taken away.
 DADA_OUTPUT = "cacabacacabacacacacabacacabacacacacacaca"
 MISMATCHES = [
-    (lambda g: setattr(g.input_transitions(("", ""))[("da", "da")], "dst",
-                       ("ca", "ca")),
+    (lambda g: setattr(g.edge(("", ""), ("da", "da")), "dst", ("ca", "ca")),
      "stuck: successor buffer mismatch after chunk ('da', 'da')"),
-    (lambda g: setattr(g.output_transition(("adad", "adad")), "dst",
-                       ("da", "da")),
+    (lambda g: setattr(g.edge(("adad", "adad")), "dst", ("da", "da")),
      "stuck: successor buffer mismatch after 'acacacac'"),
 ]
 STUCK = [
-    (lambda g: setattr(g.input_transitions(("", ""))[("da", "da")], "chunk",
-                       ("ba", "ba")),
+    (lambda g: g.transitions.pop((("", ""), ("da", "da"))),
      "stuck: no chunk edge ('da', 'da') at (-,-)"),
-    (lambda g: setattr(g.output_transition(("adad", "adad")), "output", None),
+    (lambda g: g.transitions.pop((("adad", "adad"), ("", ""))),
      "stuck: no output transition at (adad,adad)"),
-    (lambda g: setattr(g.output_transition(("adad", "adad")), "output",
-                       "acacac"),
+    (lambda g: setattr(g.edge(("adad", "adad")), "output", "acacac"),
      "stuck: output 'acacac' at (adad,adad) has odd a-parity"),
 ]
 
@@ -647,8 +657,7 @@ class TestTransduce:
 
     @pytest.mark.parametrize("corrupt, message", MISMATCHES + STUCK + [
         # a new label moves the true buffer off the stored successor
-        (lambda g: setattr(g.output_transition(("adad", "adad")), "output",
-                           "acac"),
+        (lambda g: setattr(g.edge(("adad", "adad")), "output", "acac"),
          "stuck: successor buffer mismatch after 'acac'"),
     ], ids=["chunk-dst", "output-dst", "no-chunk-edge", "no-output",
             "odd-output", "output-label"])
@@ -668,8 +677,8 @@ class TestTransduce:
     @pytest.mark.parametrize("label", ["abadaba", "ab"])
     def test_run_check_catches_a_wrong_special(self, fixture_text, label):
         graph = parse_graph(fixture_text)
-        special = graph.special_transitions(("", ""))["b"]
-        graph.output_transition(special.dst).output = label
+        special = graph.edge(("", ""), ("", "b"))
+        graph.edge(special.dst).output = label
         with pytest.raises(TransduceError) as err:
             transduce(graph, ("", "b"))
         assert str(err.value) == "not in the section image: run check failed"

@@ -97,7 +97,7 @@ class TestBuild:
         assert kinds.count("input") == 19
         assert kinds.count("output") == 202
         assert len(valley_graph.transitions) == 412
-        assert sum(t.special for t in valley_graph.transitions) == 78
+        assert sum(t.special for t in valley_graph.transitions.values()) == 78
 
     def test_verifies_clean(self, valley_graph):
         report = verify_graph(valley_graph)
@@ -198,8 +198,8 @@ class TestBuild:
                             f"candidates scanned: {scanned}"]
         # specials hang at the empty buffer, the one state transduce
         # reads them from
-        assert all(t.src == ("", "")
-                   for t in graph.transitions if t.pad is not None)
+        assert all(t.src == ("", "") for t in graph.transitions.values()
+                   if t.special and t.output is None)
         # the file verifies as the machine it was written from
         built, reparsed = verify_graph(graph), verify_graph(parse_graph(text))
         assert (reparsed.ok, reparsed.violations, reparsed.swapped_successors) \

@@ -1,11 +1,13 @@
 """End-to-end tests of the command-line interface, run in process."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
-from grigorchuk import parse_graph, verify_graph
-from grigorchuk.cli import main
+from grigorchuk import (BuildParams, OptimizerSchedule, parse_graph,
+                        verify_graph)
+from grigorchuk.cli import _parser, main
 from grigorchuk.minforms import parse_weights
 
 from conftest import FIXTURE_PATH
@@ -205,11 +207,6 @@ class TestGraphCommands:
         assert all(line.startswith("cycle: ") for line in lines[1:])
         assert len(lines) > 1
 
-    def test_eta_include_special(self, capsys):
-        rc, out, _ = run(capsys, "eta", FIXTURE, "--include-special")
-        assert rc == 0
-        assert out.splitlines()[0] == "5.47302"
-
     def test_eta_json_witness_consistent(self, capsys):
         rc, out, _ = run(capsys, "eta", FIXTURE, "--json")
         assert rc == 0
@@ -240,6 +237,18 @@ class TestGraphCommands:
 
 
 class TestBuildOptimize:
+    @pytest.mark.parametrize("argv, params", [
+        (["build", "--weights", "unit", "--out", "m.graph"], BuildParams),
+        (["optimize", "--graph", "m.graph", "--out", "w.txt"],
+         OptimizerSchedule),
+    ], ids=["build", "optimize"])
+    def test_defaults_are_the_dataclass_defaults(self, argv, params):
+        # each numeric default of the dataclass is its option's default
+        args = _parser().parse_args(argv)
+        defaults = {f.name: f.default for f in fields(params)
+                    if isinstance(f.default, (int, float))}
+        assert {name: getattr(args, name) for name in defaults} == defaults
+
     def test_build_then_inspect(self, capsys, tmp_path):
         out_path = tmp_path / "built.graph"
         rc, out, _ = run(capsys, "build", "--weights",

@@ -183,14 +183,13 @@ def build_fixture() -> tuple[TransducerGraph, dict[str, int]]:
         graph.add_state(st, "input")
 
     stats = {"repaired": 0, "respelled": 0, "swapped": 0}
-    out_edges: dict[tuple[str, str], Transition] = {}
     for state, rows in TABLE:
         for idx, (buffer, kind, label, succ) in enumerate(rows):
             chunk = CHUNK_PAIRS[idx]
             expect = graph.successor(state, chunk)
             if kind == "IN":
                 assert succ in (expect, (expect[1], expect[0])), (state, chunk)
-                graph.add_transition(Transition(state, succ, chunk=chunk))
+                graph.add_transition(Transition(state, succ, reads=chunk))
                 continue
             assert buffer == expect, (state, chunk, buffer, expect)
             # forced label element for each admissible successor orientation
@@ -218,14 +217,13 @@ def build_fixture() -> tuple[TransducerGraph, dict[str, int]]:
                 stats["swapped"] += 1
             if buffer not in graph.states:
                 graph.add_state(buffer, "output")
-            prior = out_edges.get(buffer)
+            prior = graph.edge(buffer)
             if prior is None:
-                out_edges[buffer] = Transition(buffer, succ, output=word)
-                graph.add_transition(out_edges[buffer])
+                graph.add_transition(Transition(buffer, succ, output=word))
             else:
                 # keep the later table row, matching the reference sheet
                 prior.output, prior.dst = word, succ
-            graph.add_transition(Transition(state, buffer, chunk=chunk))
+            graph.add_transition(Transition(state, buffer, reads=chunk))
 
     stats["specials"] = attach_specials(graph, [])
     return graph, stats
