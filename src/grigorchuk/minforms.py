@@ -22,22 +22,30 @@ canonical forms and their settle order are the same.
 
 The frontier is a bucket queue (Dial's algorithm): pushed words are
 grouped by their weight, and a small heap holds the distinct pending
-weights.  The lightest bucket is sorted once by (length, key) and
-settled in that order.  Keys are unique per word, so that is the order a
-single priority queue of (weight, length, key) would pop.  Weights are
-positive, so a settled word's children go to heavier buckets, and no
-word joins a bucket once it has started.  A bucket is dropped only when
-its loop ends, so a budget error leaves the frontier whole and a later
-call settles the rest.
+weights.  A bucket is two parallel lists, the words' integer keys and
+the elements of their prefixes.  A word's key is 4**len(word) plus its
+letters as base-4 digits in the tie-break order a < d < c < b, so keys
+compare like (length, word), a child's key is its parent's times four
+plus its last letter's digit, and that letter is ``key & 3``.  The
+lightest bucket is sorted once by key and settled in that order.  Keys
+are unique per word, so that is the order a single priority queue of
+(weight, length, word) would pop.  Weights are positive, so a settled
+word's children go to heavier buckets: each bucket finds its four child
+buckets, one per last letter, once before its loop, and no word joins a
+bucket once it has started.  A bucket is dropped only when its loop
+ends, so a budget error leaves the frontier whole and a later call
+settles the rest.
 
-A bucket entry carries its parent's element and its last letter's atom,
-not its own element: the product of the two by ``mul`` is formed only
-when the entry is settled, and the entry is dropped if that element is
-settled already.  Keys are unique per word, so the settle order does not
-depend on when elements are formed, and no element of the unsettled
-frontier is formed at all.  Settling caches only products whose right
-factor is b, c or d (see ``elements``).  Forms settle in order of
-non-decreasing weight.
+A word's element is the product by ``mul`` of its prefix's element and
+its last letter's atom, formed only when the word is settled, and the
+word is dropped if that element is settled already.  Its canonical
+spelling is its prefix's form in ``table`` plus its last letter.  Keys
+are unique per word, so the settle order does not depend on when
+elements are formed, and no element of the unsettled frontier is formed
+at all.  The empty word has no prefix: it settles first, apart from the
+buckets, which hold its one-letter extensions from the start.  Settling
+caches only products whose right factor is b, c or d (see
+``elements``).  Forms settle in order of non-decreasing weight.
 """
 
 from __future__ import annotations
@@ -45,7 +53,7 @@ from __future__ import annotations
 import heapq
 from typing import Callable
 
-from .elements import ATOMS, Element, element_of, mul
+from .elements import ATOMS, IDENTITY, Element, element_of, mul
 from .words import LETTERS, free_reduce
 
 SCALE = 10_000
@@ -53,14 +61,9 @@ SCALE = 10_000
 Weight = dict[str, int]
 
 # Canonical tie-break order between equal-weight, equal-length words:
-# letters sorted by increasing tuned weight (a, d, c, b).  A word's key
-# spells it over "0123" in that order, so comparing keys of equal length
-# compares the words.
-_KEY = str.maketrans("adcb", "0123")
-_WORD = str.maketrans("0123", "adcb")
-
-# The letters a reduced word may grow by, keyed by its last key digit.
-_NEXT = {"": "adcb", "0": "dcb", "1": "a", "2": "a", "3": "a"}
+# letters sorted by increasing tuned weight.  A letter's index here is
+# its digit in a word's key (see the module docstring).
+_LETTER = "adcb"
 
 UNIT_WEIGHTS: Weight = {ch: SCALE for ch in LETTERS}
 # The tuned weights shipped with the appendix fixture.
@@ -153,51 +156,78 @@ class MinimalForms:
         # scaled weight of each settled form, keyed and ordered like table;
         # forms settle in priority order, so these never decrease
         self.form_weight: dict[Element, int] = {}
-        # pushed, unsettled words by weight: (length, key, parent element,
-        # last atom), the word's element being parent times atom; the heap
-        # holds each weight that has a bucket
-        self._buckets: dict[int, list[tuple[int, str, Element, Element]]] = {
-            0: [(0, "", ATOMS[""], ATOMS[""])]}
-        self._pending: list[int] = [0]
-        self._grow = {last: [(ch.translate(_KEY), weights[ch], ATOMS[ch])
-                             for ch in letters]
-                      for last, letters in _NEXT.items()}
+        # pushed, unsettled words by weight: their keys, and beside them
+        # the elements of their prefixes; the heap holds each weight that
+        # has a bucket.  The empty word is settled apart, first, so its
+        # one-letter extensions are queued from the start.
+        self._buckets: dict[int, tuple[list[int], list[Element]]] = {}
+        self._pending: list[int] = []
+        for digit, ch in enumerate(_LETTER):
+            keys, prefixes = self._bucket(weights[ch])
+            keys.append(4 + digit)
+            prefixes.append(IDENTITY)
         self._settled_upto = -1
+
+    def _bucket(self, weight: int) -> tuple[list[int], list[Element]]:
+        """The bucket of pushed words of this weight, made if missing."""
+        found = self._buckets.get(weight)
+        if found is None:
+            found = self._buckets[weight] = ([], [])
+            heapq.heappush(self._pending, weight)
+        return found
 
     def extend(self, radius: int) -> None:
         """Settle every element of weight <= radius (scaled units).
 
-        Takes the pending buckets of weight <= radius, lightest first,
-        each in (length, key) order, and settles each word whose element
-        is new; a settled word pushes its reduced one-letter extensions
-        (see the module docstring).
+        Settles the empty word, then takes the pending buckets of weight
+        <= radius, lightest first, each in key order, and settles each
+        word whose element is new.  Its spelling is its prefix's form
+        plus its last letter, and it pushes its reduced one-letter
+        extensions into the bucket's four child buckets, which are found
+        once per bucket (see the module docstring).
         """
         if radius <= self._settled_upto:
             return
         buckets, pending = self._buckets, self._pending
         table, form_weight = self.table, self.form_weight
-        budget, grow = self.element_budget, self._grow
+        budget = self.element_budget
+        if not table:
+            if budget < 1:
+                raise RuntimeError(
+                    f"element budget {budget} exceeded at radius 0")
+            table[IDENTITY] = ""
+            form_weight[IDENTITY] = 0
+        costs = [self.weights[ch] for ch in _LETTER]
+        atoms = [ATOMS[ch] for ch in _LETTER]
         while pending and pending[0] <= radius:
             weight = pending[0]
-            bucket = buckets[weight]
-            bucket.sort()
-            for n, key, parent, atom in bucket:
-                e = mul(parent, atom)
+            keys, prefixes = buckets[weight]
+            (ak, ap), (dk, dp), (ck, cp), (bk, bp) = [
+                self._bucket(weight + cost) for cost in costs]
+            for i in sorted(range(len(keys)), key=keys.__getitem__):
+                key = keys[i]
+                prefix = prefixes[i]
+                last = key & 3
+                e = mul(prefix, atoms[last])
                 if e in table:
                     continue
                 if len(table) >= budget:
                     raise RuntimeError(
                         f"element budget {budget} exceeded at radius "
                         f"{format_scaled(weight)}")
-                table[e] = key.translate(_WORD)
+                table[e] = table[prefix] + _LETTER[last]
                 form_weight[e] = weight
-                for digit, cost, atom in grow[key[-1:]]:
-                    heavier = weight + cost
-                    child = buckets.get(heavier)
-                    if child is None:
-                        child = buckets[heavier] = []
-                        heapq.heappush(pending, heavier)
-                    child.append((n + 1, key + digit, e, atom))
+                key <<= 2
+                if last:
+                    ak.append(key)
+                    ap.append(e)
+                else:
+                    dk.append(key | 1)
+                    dp.append(e)
+                    ck.append(key | 2)
+                    cp.append(e)
+                    bk.append(key | 3)
+                    bp.append(e)
             del buckets[weight]
             heapq.heappop(pending)
         self._settled_upto = radius

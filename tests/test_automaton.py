@@ -29,8 +29,9 @@ from grigorchuk import (
     verify_graph,
     words_equal,
 )
-from grigorchuk.automaton import (Transition, TransducerGraph, _cycle_ratio,
-                                  _dinkelbach, path_excess_constant)
+from grigorchuk.automaton import (CHUNK_PAIRS, START, Transition,
+                                  TransducerGraph, _cycle_ratio, _dinkelbach,
+                                  path_excess_constant)
 from grigorchuk.minforms import SCALE, UNIT_WEIGHTS, parse_weights, word_weight
 from grigorchuk.words import in_H
 
@@ -489,6 +490,19 @@ class TestVerification:
                            match=r"edge source \(dad,da\) is not a declared "
                                  r"input state"):
             parse_graph(serialize_graph(graph))
+
+    def test_undeclared_target_caught(self):
+        # every edge reaches its successor, but no state holds it, so
+        # serialize_graph and max_cycle_ratio would fail on a KeyError
+        graph = TransducerGraph(dict(UNIT_WEIGHTS))
+        graph.add_state(START, "input")
+        for chunk in CHUNK_PAIRS:
+            graph.add_transition(Transition(
+                START, graph.successor(START, chunk), reads=chunk))
+        violations = verify_graph(graph).violations
+        assert len(violations) == 9
+        assert violations[0] == ("chunk ('da', 'da') at (-,-) reaches "
+                                 "(da,da), which is not a declared state")
 
     # each corruption of the parsed fixture, made in code, trips one check;
     # (adad,adad) is the output state behind (da,da)'s (da,da) edge

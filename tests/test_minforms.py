@@ -1,17 +1,22 @@
 """Weighted minimal forms: weights, canonical spellings, enumeration."""
 
+import ast
 import hashlib
 import heapq
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import grigorchuk
 from grigorchuk import (MinimalForms, SCALE, TUNED_WEIGHTS, UNIT_WEIGHTS,
                         element_of, parse_weights, word_weight, words_equal)
 from grigorchuk.elements import ATOMS, mul
-from grigorchuk.minforms import (_WORD, format_scaled, is_triangular,
-                                 scale_decimal)
+from grigorchuk.minforms import format_scaled, is_triangular, scale_decimal
 from grigorchuk.words import in_H, rev
 
 words = st.text(alphabet="abcd", max_size=9)
@@ -149,16 +154,30 @@ class TestSettleOrder:
             forms.extend(2 * SCALE)
 
 
+# The reference's own spelling of the tie-break order a < d < c < b: a
+# word's key spells it over "0123", so (length, key) compares words as
+# the settle's integer keys must.  A reduced word grows by the letters
+# keyed by its last key digit.
+EAGER_KEY = str.maketrans("adcb", "0123")
+EAGER_WORD = str.maketrans("0123", "adcb")
+EAGER_NEXT = {"": "adcb", "0": "dcb", "1": "a", "2": "a", "3": "a"}
+
+
 class EagerForms(MinimalForms):
-    """Reference settle that forms each word's element when it is pushed,
-    and pushes no word whose element is settled already."""
+    """Reference settle from one heap of (weight, length, string key,
+    element) that forms each word's element when it is pushed, and
+    pushes no word whose element is settled already."""
 
     def __init__(self, weights, element_budget=10_000_000):
         super().__init__(weights, element_budget)
         self._heap = [(0, 0, "", ATOMS[""])]
+        self._steps = {last: [(ch.translate(EAGER_KEY), weights[ch],
+                               ATOMS[ch]) for ch in letters]
+                       for last, letters in EAGER_NEXT.items()}
+        self._radius = -1
 
     def extend(self, radius):
-        if radius <= self._settled_upto:
+        if radius <= self._radius:
             return
         heap, table, form_weight = self._heap, self.table, self.form_weight
         while heap and heap[0][0] <= radius:
@@ -169,14 +188,14 @@ class EagerForms(MinimalForms):
                 raise RuntimeError(
                     f"element budget {self.element_budget} exceeded at radius "
                     f"{format_scaled(weight)}")
-            table[e] = key.translate(_WORD)
+            table[e] = key.translate(EAGER_WORD)
             form_weight[e] = weight
-            for digit, cost, atom in self._grow[key[-1:]]:
+            for digit, cost, atom in self._steps[key[-1:]]:
                 child = mul(e, atom)
                 if child not in table:
                     heapq.heappush(heap, (weight + cost, n + 1, key + digit,
                                           child))
-        self._settled_upto = radius
+        self._radius = radius
 
 
 VALLEY = parse_weights("a=1 b=2.7 c=2.0 d=1.3")
@@ -210,7 +229,7 @@ class TestLazySettle:
     # so the radius in the message is that of the next new element; at
     # TUNED weights budgets 12 and 93 meet such a word first
     @SETTLE_CASES
-    @pytest.mark.parametrize("budget", [1, 12, 93, 1234])
+    @pytest.mark.parametrize("budget", [0, 1, 12, 93, 1234])
     def test_budget_count(self, weights, radius, budget):
         outcomes = []
         for cls in (MinimalForms, EagerForms):
@@ -225,7 +244,7 @@ class TestLazySettle:
     # the budget and settling again gives the table of one settle
     @pytest.mark.parametrize("budget", [1, 5, 100, 200])
     def test_resume_after_budget(self, budget):
-        fresh = MinimalForms(dict(UNIT_WEIGHTS))
+        fresh = EagerForms(dict(UNIT_WEIGHTS))
         fresh.extend(8 * SCALE)
         resumed = MinimalForms(dict(UNIT_WEIGHTS), element_budget=budget)
         with pytest.raises(RuntimeError, match="element budget"):
@@ -236,6 +255,29 @@ class TestLazySettle:
         assert list(resumed.table.items()) == list(fresh.table.items())
         assert list(resumed.form_weight.items()) == \
             list(fresh.form_weight.items())
+
+    # ba, ab and ada all weigh 2.9999 here; a key without its 4**len
+    # term, or compared as a digit string, would settle ada first
+    def test_shorter_word_settles_first(self):
+        forms = MinimalForms(dict(NEAR_DEGENERATE))
+        forms.extend(3 * SCALE)
+        order = list(forms.table.values())
+        assert {forms.form_weight[element_of(w)]
+                for w in ("ba", "ab", "ada")} == {29_999}
+        assert order.index("ab") < order.index("ba") < order.index("ada")
+
+    # no element of the unsettled frontier is interned or multiplied
+    def test_cache_sizes_after_unit_settle(self):
+        src = Path(grigorchuk.__file__).resolve().parents[1]
+        code = ("from grigorchuk import MinimalForms, SCALE, UNIT_WEIGHTS\n"
+                "from grigorchuk.elements import cache_sizes\n"
+                "MinimalForms(dict(UNIT_WEIGHTS)).extend(20 * SCALE)\n"
+                "print(cache_sizes())\n")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True, timeout=120,
+                             env={**os.environ, "PYTHONPATH": str(src)})
+        sizes = ast.literal_eval(out.stdout)
+        assert (sizes["interned"], sizes["products"]) == (31_948, 26_439)
 
 
 @pytest.fixture(scope="module")
