@@ -414,14 +414,14 @@ def serialize_graph(graph: TransducerGraph) -> str:
 def verify_graph(graph: TransducerGraph) -> VerificationReport:
     """Check every structural and group-theoretic requirement; report all.
 
-    Every transition must reach graph.successor of its source, reading
-    its chunk or pad and writing its output, and that target must be a
-    declared state; output labels must also be parity-even and
-    weight-minimal, specials must leave the input state START and read
-    pads in the closure of b, input states need nine chunk successors
-    and no output, and output states exactly one output and no chunk or
-    pad.  A successor stored with swapped components is accepted and
-    counted, not flagged.
+    Every transition must leave a declared state and reach
+    graph.successor of its source, reading its chunk or pad and writing
+    its output, and that target must be a declared state; output labels
+    must also be parity-even and weight-minimal, specials must leave the
+    input state START and read pads in the closure of b, input states
+    need nine chunk successors and no output, and output states exactly
+    one output and no chunk or pad.  A successor stored with swapped
+    components is accepted and counted, not flagged.
     """
     report = VerificationReport()
     report.input_states = list(graph.states.values()).count("input")
@@ -468,6 +468,9 @@ def verify_graph(graph: TransducerGraph) -> VerificationReport:
             report.violations.append(
                 f"{label} at {src_name} should reach {buffer_text(expect)}, "
                 f"found {buffer_text(t.dst)}")
+        if t.src not in graph.states:
+            report.violations.append(
+                f"{label} leaves {src_name}, which is not a declared state")
         if t.dst not in graph.states:
             report.violations.append(
                 f"{label} at {src_name} reaches {buffer_text(t.dst)}, which "

@@ -8,12 +8,17 @@ immutable representative.  Equality of elements is pointer identity,
 which makes the word problem a dictionary lookup after construction.
 Elements define neither ``__eq__`` nor ``__hash__``, so the intern and
 product tables here, and the minimal-form tables built on them, key on
-the elements themselves.
+the elements themselves.  The intern table is one dict per parity,
+mapping a right child to the nodes over it keyed by their left child:
+a (parity, left, right) key tuple would cost as much memory as the
+node it finds, and be allocated on every lookup.
 
 The word problem runs on segment forms (see ``words``): a reduced word
 ``x0 a x1 a ... a xk`` is the tuple of its Klein values (x0, ..., xk),
-its sections are taken on that tuple, and the element of each segment
-form is cached under it.  ``mul`` is the one product.  It caches g*h in
+and its sections are taken on that tuple.  The element of a segment
+form of at most 16 values is cached under it; a longer form, mostly a
+one-off query, is rebuilt from its sections, which shrink to cached
+ones within a few levels.  ``mul`` is the one product.  It caches g*h in
 one table per right factor h, keyed by g; a right factor of a only
 swaps the root and is never cached, so right steps by one generator,
 which minimal forms grow by, fill only the b, c and d tables.
@@ -58,35 +63,43 @@ GEN_D.left, GEN_D.right = IDENTITY, GEN_B
 # The element of each word of length at most one.
 ATOMS = {"": IDENTITY, "a": GEN_A, "b": GEN_B, "c": GEN_C, "d": GEN_D}
 
-_INTERN: dict[tuple[int, Element, Element], Element] = {
-    (e.swap, e.left, e.right): e for e in ATOMS.values() if e.left is not None
-}
+# Interned nodes, one table per swap: each maps a right child to the
+# nodes over it, keyed by their left child.
+_INTERN: tuple[dict[Element, dict[Element, Element]], ...] = ({}, {})
+for _x in (GEN_A, GEN_B, GEN_C, GEN_D):
+    _INTERN[_x.swap].setdefault(_x.right, {})[_x.left] = _x
 
 
 def _node(swap: int, left: Element, right: Element) -> Element:
     if swap == 0 and left is IDENTITY and right is IDENTITY:
         return IDENTITY
-    key = (swap, left, right)
-    found = _INTERN.get(key)
+    by_left = _INTERN[swap].get(right)
+    if by_left is None:
+        by_left = _INTERN[swap][right] = {}
+    found = by_left.get(left)
     if found is None:
-        found = Element(swap, left, right)
-        _INTERN[key] = found
+        found = by_left[left] = Element(swap, left, right)
     return found
 
 
-# The element of each segment form, keyed by the form; seeded with the
-# words of length at most one.
+# The element of each segment form of at most 16 values, keyed by the
+# form; seeded with the words of length at most one.
 _ELEMENT: dict[tuple[int, ...], Element] = {
     (0,): IDENTITY, (0, 0): GEN_A, (1,): GEN_B, (2,): GEN_C, (3,): GEN_D}
 
 
 def segment_element(x: tuple[int, ...]) -> Element:
-    """The interned element of the segment form x (see ``words``)."""
+    """The interned element of the segment form x (see ``words``).
+
+    Only a form of at most 16 values (a word of at most 31 letters) is
+    cached; a longer one is rebuilt from its sections on each call.
+    """
     found = _ELEMENT.get(x)
     if found is None:
         p, s0, s1 = segment_sections(x)
         found = _node(p, segment_element(s0), segment_element(s1))
-        _ELEMENT[x] = found
+        if len(x) <= 16:
+            _ELEMENT[x] = found
     return found
 
 
@@ -125,7 +138,8 @@ def mul(g: Element, h: Element) -> Element:
 def cache_sizes() -> dict[str, int]:
     """Entries in each global table: interned nodes, cached products and
     their right factors, and the segment-form element cache."""
-    return {"interned": len(_INTERN),
+    return {"interned": sum(len(by_left) for table in _INTERN
+                                for by_left in table.values()),
             "products": sum(map(len, _MUL.values())),
             "product_tables": len(_MUL), "elements": len(_ELEMENT)}
 

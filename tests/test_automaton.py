@@ -504,6 +504,19 @@ class TestVerification:
         assert violations[0] == ("chunk ('da', 'da') at (-,-) reaches "
                                  "(da,da), which is not a declared state")
 
+    def test_undeclared_source_caught(self, fixture_text):
+        # the edge reaches its successor, but leaves no state: written out,
+        # the graph would not parse again
+        graph = parse_graph(fixture_text)
+        graph.add_transition(Transition(("a", "d"), ("ada", "ba"),
+                                        reads=("da", "ca")))
+        assert verify_graph(graph).violations == [
+            "chunk ('da', 'ca') leaves (a,d), which is not a declared state"]
+        with pytest.raises(GraphFormatError,
+                           match=r"edge source \(a,d\) is not a declared "
+                                 r"input state"):
+            parse_graph(serialize_graph(graph))
+
     # each corruption of the parsed fixture, made in code, trips one check;
     # (adad,adad) is the output state behind (da,da)'s (da,da) edge
     @pytest.mark.parametrize("corrupt, message", [

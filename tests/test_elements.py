@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from grigorchuk import (SCALE, UNIT_WEIGHTS, MinimalForms, element_of,
                         free_reduce, is_trivial, words_equal)
-from grigorchuk.elements import ATOMS, IDENTITY, cache_sizes, mul
-from grigorchuk.words import rev
+from grigorchuk.elements import (_ELEMENT, ATOMS, IDENTITY, _node,
+                                 cache_sizes, mul)
+from grigorchuk.words import rev, segments
 
 from conftest import long_words
 
@@ -52,6 +53,28 @@ class TestHashConsing:
     @given(words)
     def test_word_and_reduction_agree(self, w):
         assert element_of(w) is element_of(free_reduce(w))
+
+
+class TestInterning:
+    def test_one_node_per_swap_and_children(self):
+        b, c = ATOMS["b"], ATOMS["c"]
+        assert _node(0, ATOMS["a"], c) is b
+        even, odd = _node(0, b, c), _node(1, b, c)
+        assert even is not odd
+        assert (odd.swap, odd.left, odd.right) == (1, b, c)
+        before = cache_sizes()["interned"]
+        assert _node(0, b, c) is even and _node(1, b, c) is odd
+        assert cache_sizes()["interned"] == before
+
+    def test_long_form_is_not_cached(self):
+        # a conjugate of (ab)^16 by a 120-letter word: 137 segment values
+        u = "abacad" * 20
+        w = u + RELATORS[2] + rev(u)
+        assert len(w) == 272
+        assert is_trivial(w)
+        assert max(map(len, _ELEMENT)) <= 16
+        assert segments(w) not in _ELEMENT
+        assert element_of(w) is element_of(w) is IDENTITY
 
 
 class TestWordProblem:

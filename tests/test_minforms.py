@@ -268,16 +268,34 @@ class TestLazySettle:
 
     # no element of the unsettled frontier is interned or multiplied
     def test_cache_sizes_after_unit_settle(self):
-        src = Path(grigorchuk.__file__).resolve().parents[1]
-        code = ("from grigorchuk import MinimalForms, SCALE, UNIT_WEIGHTS\n"
-                "from grigorchuk.elements import cache_sizes\n"
-                "MinimalForms(dict(UNIT_WEIGHTS)).extend(20 * SCALE)\n"
-                "print(cache_sizes())\n")
-        out = subprocess.run([sys.executable, "-c", code], check=True,
-                             capture_output=True, text=True, timeout=120,
-                             env={**os.environ, "PYTHONPATH": str(src)})
-        sizes = ast.literal_eval(out.stdout)
+        sizes = ast.literal_eval(fresh_output(
+            "from grigorchuk.elements import cache_sizes\n"
+            "MinimalForms(dict(UNIT_WEIGHTS)).extend(20 * SCALE)\n"
+            "print(cache_sizes())\n"))
         assert (sizes["interned"], sizes["products"]) == (31_948, 26_439)
+
+    # on Python 3.11.7 this read 11.42 MiB when every interned node also
+    # had a (swap, left, right) key tuple, and 9.44 MiB without them
+    def test_traced_memory_after_unit_settle(self):
+        traced = int(fresh_output(
+            "import tracemalloc\n"
+            "tracemalloc.start()\n"
+            "forms = MinimalForms(dict(UNIT_WEIGHTS))\n"
+            "forms.extend(20 * SCALE)\n"
+            "print(tracemalloc.get_traced_memory()[0])\n"))
+        assert traced <= 10.5 * 2**20
+
+
+def fresh_output(code):
+    """What code prints in a fresh interpreter that has imported
+    MinimalForms, SCALE and UNIT_WEIGHTS."""
+    src = Path(grigorchuk.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "from grigorchuk import MinimalForms, SCALE, UNIT_WEIGHTS\n" + code],
+        check=True, capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    return out.stdout
 
 
 @pytest.fixture(scope="module")
