@@ -21,11 +21,13 @@ reaches the minimal forms of
 with (v0,v1) the section pair of v.  Since all generators are
 involutions, rev(v0) is the inverse of v0, so the sections of the
 emitted output times the remaining buffer always equal the consumed
-input.  Parsing, the builder, the verifier and the runner all step
-buffers by this rule, and the verifier checks it on every transition:
-chunk edges, output edges and the pad edges of specials.  A buffer pair
-may equally be stored with its components swapped; the verifier and the
-runner accept either orientation and track the swap.
+input.  The parser, the runner and the builder's chunk and pad edges
+step buffers by this rule; the builder's emissions reach the same
+buffers by element products, mul(cand.left, e0).  The verifier checks
+the rule on every transition: chunk edges, output edges and the pad
+edges of specials.  A buffer pair may equally be stored with its
+components swapped; the verifier and the runner accept either
+orientation, and the runner derives the swap from the state it is in.
 
 Cycle analysis bounds the output weight of arbitrarily long runs: the
 maximal ratio 2*out/(in0+in1) over directed cycles is the certified
@@ -141,8 +143,8 @@ class TransducerGraph:
         self.forms = MinimalForms(weights)
         # successor results keyed by their argument values, so a changed
         # transition never reads a stale entry; the program's callers add
-        # at most two per transition, its buffer and its swap, and one
-        # per special that attach_specials skips
+        # one per transition key, plus one per special that
+        # attach_specials skips
         self.successor_memo: dict[tuple[Buffer, Buffer, str], Buffer] = {}
 
     # -- construction -------------------------------------------------------
@@ -431,6 +433,7 @@ def verify_graph(graph: TransducerGraph) -> VerificationReport:
         report.violations.append(
             f"no input state {buffer_text(START)} to start runs at")
 
+    forms = graph.forms
     for t in graph.transitions.values():
         src_name = buffer_text(t.src)
         if t.output is not None:
@@ -439,10 +442,11 @@ def verify_graph(graph: TransducerGraph) -> VerificationReport:
                 report.violations.append(
                     f"{label} at {src_name} has odd a-parity")
                 continue
-            if not graph.forms.is_minimal(t.output):
+            e = forms.settled(t.output)
+            if word_weight(t.output, forms.weights) != forms.form_weight[e]:
                 report.violations.append(
                     f"{label} at {src_name} is not weight-minimal")
-            elif graph.forms.minimal_form(t.output) != t.output:
+            elif forms.table[e] != t.output:
                 report.notes.append(
                     f"{label} at {src_name} is minimal-weight but not the "
                     f"canonical spelling")
@@ -694,17 +698,14 @@ def transduce(graph: TransducerGraph, pair: Buffer) -> TransduceResult:
     chunks1 = [p1[i:i + 2] for i in range(0, len(p1), 2)]
 
     state = true = START
-    mirror = 0
     parts = [prefix]
     pos = 0
     used_special = False
 
-    def emit(word: str) -> None:
-        parts.append("a" + word + "a" if mirror else word)
-
     while True:
-        # parts[-1] is the word written, a*v*a when mirrored, whose
-        # sections are those of v swapped
+        # mirrored when the state holds the true buffer swapped: the run then
+        # reads chunks swapped and writes a*v*a, whose sections are v's swapped
+        mirror = state != true
         if graph.states.get(state) == "output":
             t = graph.edge(state)
             if t is None:
@@ -714,9 +715,7 @@ def transduce(graph: TransducerGraph, pair: Buffer) -> TransduceResult:
                 raise TransduceError(
                     f"stuck: output {t.output!r} at {buffer_text(state)} has "
                     f"odd a-parity")
-            emit(t.output)
-            true = graph.successor(true, emitted=parts[-1])
-            key = None
+            parts.append("a" + t.output + "a" if mirror else t.output)
         else:
             if pos >= len(chunks0):
                 break
@@ -727,31 +726,28 @@ def transduce(graph: TransducerGraph, pair: Buffer) -> TransduceResult:
             if t is None:
                 raise TransduceError(f"stuck: no chunk edge {key} at "
                                      f"{buffer_text(state)}")
-            true = graph.successor(true, (c0, c1))
-        # the mirror bit under which the successor's buffer is the true one
+        succ = graph.successor(state, t.reads, t.output or "")
+        true = (succ[1], succ[0]) if mirror else succ
         state = t.dst
-        if state == true:
-            mirror = 0
-        elif state == (true[1], true[0]):
-            mirror = 1
-        else:
-            after = repr(t.output) if key is None else f"chunk {key}"
+        if state != true and state != (true[1], true[0]):
+            after = f"chunk {t.reads}" if t.output is None else repr(t.output)
             raise TransduceError(
                 f"stuck: successor buffer mismatch after {after}")
 
     rest = "".join(chunks1[pos:])
     residue0 = true[0]
     residue1 = free_reduce(true[1] + rest)
-    if not mirror and state == START and residue0 == "":
+    # START is symmetric, so there the run is unmirrored and true == START
+    if state == START:
         t = graph.edge(START, ("", graph.forms.minimal_form(residue1)))
         if t is not None:
-            emit(graph.edge(t.dst).output)
+            parts.append(graph.edge(t.dst).output)
             used_special = True
             residue1 = ""
     if residue0 or residue1:
-        if not pair_in_section_image(residue0, residue1):
-            raise TransduceError(
-                f"not in the section image: residue ({residue0!r}, {residue1!r})")
+        # The input pair is a section pair, every label written lies in H
+        # and the section image is a subgroup, so the residue is a section
+        # pair; a special's unchecked label leaves no residue.
         # The residue is tracked in true orientation already, so its
         # baseline preimage is appended unwrapped whatever the mirror state.
         parts.append(psi_preimage_basic(residue0, residue1))

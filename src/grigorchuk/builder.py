@@ -63,18 +63,19 @@ def _score(in0: int, in1: int, out0: int, out1: int, v_weight: int,
 @dataclass
 class _Candidate:
     """An output word v, its weight, the inverses of its two sections and
-    their form weights (None if not settled)."""
+    their form weights."""
     word: str
     weight: int
     left: Element
     right: Element
-    left_weight: int | None
-    right_weight: int | None
+    left_weight: int
+    right_weight: int
 
 
 def _candidates(forms: MinimalForms, max_len: int) -> list[_Candidate]:
     # the sections of rev(v) are the inverses of v's sections; their
-    # elements are read off the segment forms, not spelled words
+    # elements are read off the segment forms, not spelled words, and
+    # weigh no more than the radius enumerate_forms settles
     out = []
     form_weight = forms.form_weight
     for v in forms.enumerate_forms(max_len, in_H):
@@ -83,7 +84,7 @@ def _candidates(forms: MinimalForms, max_len: int) -> list[_Candidate]:
         _, s0, s1 = segment_sections(segments(rev(v)))
         left, right = segment_element(s0), segment_element(s1)
         out.append(_Candidate(v, word_weight(v, forms.weights), left, right,
-                              form_weight.get(left), form_weight.get(right)))
+                              form_weight[left], form_weight[right]))
     return out
 
 
@@ -157,11 +158,9 @@ def build(params: BuildParams, log: list[str] | None = None) -> TransducerGraph:
             if i == 0:
                 forms.extend(total + SCALE)
             a0, a1 = cand.left_weight, cand.right_weight
-            if a0 is not None and a1 is not None:
-                bound = (total - abs(w0 - a0) - abs(w1 - a1)) / cand.weight \
-                    + bonus
-                if bound < threshold - 1e-12 or bound <= best_q + 1e-12:
-                    continue  # the triangle bound rules it out
+            bound = (total - abs(w0 - a0) - abs(w1 - a1)) / cand.weight + bonus
+            if bound < threshold - 1e-12 or bound <= best_q + 1e-12:
+                continue  # the triangle bound rules it out
             r0 = mul(cand.left, e0)
             o0 = form_weight.get(r0)
             if o0 is None:

@@ -247,10 +247,6 @@ class MinimalForms:
         """Scaled weight of the element represented by ``word``."""
         return self.form_weight[self.settled(word)]
 
-    def is_minimal(self, word: str) -> bool:
-        """Whether ``word`` has the least weight among words for its element."""
-        return word_weight(word, self.weights) == self.element_weight(word)
-
     def enumerate_forms(self, max_len: int,
                         predicate: Callable[[str], bool] | None = None
                         ) -> list[str]:

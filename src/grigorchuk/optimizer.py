@@ -232,7 +232,6 @@ def optimize_weights(
     cuts = [_cut(witness)]
     seen = {tuple(weights[c] for c in COORDINATES)}
     trace: list[TraceRow] = []
-    iteration = 0
 
     def measure(trial: Weight) -> float:
         eta, witness = max_cycle_ratio(graph, trial)
@@ -244,10 +243,10 @@ def optimize_weights(
     for step_units in schedule.step_sizes:
         step = round(step_units * SCALE)
         improved = True
-        while improved and iteration < schedule.max_iterations:
+        while improved and len(trace) < schedule.max_iterations:
             improved = False
             for coord, sign in product(COORDINATES, (+1, -1)):
-                if iteration >= schedule.max_iterations:
+                if len(trace) >= schedule.max_iterations:
                     break
                 trial = dict(weights)
                 trial[coord] = weights[coord] + sign * step
@@ -257,7 +256,6 @@ def optimize_weights(
                 if key in seen:
                     continue
                 seen.add(key)
-                iteration += 1
                 at = tuple(trial[ch] for ch in LETTERS)
                 # the machine's ratio is at least any cut's, so a cut at
                 # or above the current ratio decides the proposal as a
@@ -265,13 +263,14 @@ def optimize_weights(
                 ruled = float(max(_ratio(cut, at) for cut in cuts))
                 eta = ruled if ruled >= best - 1e-9 else measure(trial)
                 keep = eta < best - 1e-9
-                trace.append(TraceRow(iteration, coord, step_units, eta, keep))
+                trace.append(TraceRow(len(trace) + 1, coord, step_units, eta,
+                                      keep))
                 if keep:
                     weights, best = trial, eta
                     improved = True
                     break
 
-    while iteration < schedule.max_iterations:
+    while len(trace) < schedule.max_iterations:
         bound, point = _model(cuts, Fraction(best))
         if best <= bound + FINISH_TOLERANCE:
             break
@@ -280,11 +279,10 @@ def optimize_weights(
         if key in seen:
             break
         seen.add(key)
-        iteration += 1
         eta = measure(trial)
         keep = eta < best - 1e-9
         jump = max(abs(trial[c] - weights[c]) for c in COORDINATES) / SCALE
-        trace.append(TraceRow(iteration, "cut", jump, eta, keep))
+        trace.append(TraceRow(len(trace) + 1, "cut", jump, eta, keep))
         if keep:
             weights, best = trial, eta
     return weights, best, trace

@@ -37,7 +37,6 @@ folds ``u a 1 a v`` into ``uv`` for ``segments`` reduces each section.
 from __future__ import annotations
 
 LETTERS = "abcd"
-BCD = "bcd"
 
 # x = (pair[0], pair[1]) as an action on subtrees; "" is the identity.
 SECTIONS_OF = {"b": ("a", "c"), "c": ("a", "d"), "d": ("", "b")}

@@ -574,6 +574,25 @@ class TestCycleRatio:
         assert first_loop_ratio(fixture_graph) == pytest.approx(
             3.689320, abs=5e-3)
 
+    # the loop runs (-,-) -> (da,da) -> (adad,adad) --acacacac--> (-,-)
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda g: g.transitions.pop((("", ""), ("da", "da"))),
+         "initial state has no (da,da) edge"),
+        (lambda g: g.transitions.pop((("da", "da"), ("da", "da"))),
+         "no second (da,da) edge"),
+        (lambda g: g.transitions.pop((("adad", "adad"), ("", ""))),
+         "the (da,da)(da,da) path does not close up"),
+        (lambda g: setattr(g.edge(("adad", "adad")), "dst", ("da", "da")),
+         "the (da,da)(da,da) path does not close up"),
+    ], ids=["no-first", "no-second", "no-output", "output-dst"])
+    def test_first_loop_ratio_on_broken_loop(self, fixture_text, corrupt,
+                                             message):
+        graph = parse_graph(fixture_text)
+        corrupt(graph)
+        with pytest.raises(TransduceError) as err:
+            first_loop_ratio(graph)
+        assert str(err.value) == message
+
     def test_constants_finite(self, fixture_graph):
         assert preimage_constant(fixture_graph) == pytest.approx(
             419.354150, abs=1e-2)
@@ -728,7 +747,7 @@ class TestTransduce:
         for _ in range(2000):
             transduce(graph, random_pair(rng, 40))
         memo = graph.successor_memo
-        assert len(memo) <= 2 * len(graph.transitions)
+        assert len(memo) == len(graph.transitions)
         fresh = parse_graph(fixture_text)
         for (src, consumed, emitted), succ in memo.items():
             assert fresh.successor(src, consumed, emitted) == succ

@@ -106,6 +106,14 @@ class TestGrowthCommands:
                        "radius 2: 5 <= 8 <= 23 ok\n"
                        "radius 3: 11 <= 14 <= 40 ok\n")
 
+    def test_check_sbgp_json(self, capsys):
+        rc, out, err = run(capsys, "check-sbgp", "--max-radius", "2", "--json")
+        assert (rc, err) == (0, "")
+        rows = [dict(radius=r, lower=lo, middle=mid, upper=up, holds=True)
+                for r, lo, mid, up in [("0", 0, 2, 5), ("1", 1, 8, 11),
+                                       ("2", 5, 8, 23)]]
+        assert json.loads(out) == {"checks": rows}
+
     @pytest.mark.parametrize("command", ["growth", "check-sbgp"])
     def test_negative_max_radius_rejected(self, capsys, command):
         rc, out, err = run(capsys, command, "--max-radius", "-1")

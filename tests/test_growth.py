@@ -109,6 +109,13 @@ class TestLowerBound:
         with pytest.raises(ValueError):
             lower_bound_log_gamma(2, self.PARAMS)
 
+    def test_seed_ball_too_small(self):
+        params = BoundParams(eta=4.0, shift=12.0, base_radius=8.0,
+                             base_count=3)
+        with pytest.raises(ValueError) as err:
+            lower_bound_log_gamma(50, params)
+        assert str(err.value) == "seed ball must contain at least 4 elements"
+
     # a radius that stays flat, falls or is NaN never passes n, eta near 1
     # takes millions of doublings, and 2^m * log(gamma(L)/4) can pass the
     # largest float

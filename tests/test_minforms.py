@@ -61,6 +61,20 @@ class TestWeights:
         with pytest.raises(ValueError, match="malformed number"):
             scale_decimal(text)
 
+    @pytest.mark.parametrize("text, message", [
+        ("1.00001", "more than 4 fraction digits in '1.00001'"),
+        ("", "empty number ''"), (".", "empty number '.'"),
+        (" - ", "empty number ''")])
+    def test_scale_rejects_long_or_empty(self, text, message):
+        with pytest.raises(ValueError) as err:
+            scale_decimal(text)
+        assert str(err.value) == message
+
+    def test_negative_weight_rejected(self):
+        assert scale_decimal("-1.5") == -15_000
+        with pytest.raises(ValueError, match="^weights must be positive$"):
+            parse_weights("a=-1 b=1 c=1 d=1")
+
     def test_parse_rejects_repeated_generator(self):
         with pytest.raises(ValueError, match="repeated weight .* 'a'"):
             parse_weights("a=1 a=5 b=1 c=1 d=1")

@@ -191,6 +191,12 @@ class TestPsi:
         assert psi("abab") == ("ca", "ac")
         assert psi("aca") == ("d", "a")
 
+    def test_odd_word_has_no_section_pair(self):
+        with pytest.raises(ValueError) as err:
+            psi("dab")
+        assert str(err.value) == ("word 'dab' has odd a-parity and no "
+                                  "section pair")
+
     def test_parity(self):
         assert in_H("abab")
         assert in_H("aca")
