@@ -686,13 +686,10 @@ def transduce(graph: TransducerGraph, pair: Buffer) -> TransduceResult:
 
     prefix, p0, p1 = _prefix_correction(w0, w1)
     p0, p1 = _chunked(p0), _chunked(p1)
+    # the second stream ends 0-4 chunks longer, 1-4 if it was >= 4 longer
     gap = len(p1) // 2 - len(p0) // 2
-    target = 4 if gap >= 4 and gap % 4 == 0 else gap % 4
-    blocks = (target - gap) // 4
-    if blocks >= 0:
-        p1 += PADDING_BLOCK * blocks
-    else:
-        p0 += PADDING_BLOCK * -blocks
+    p0 += PADDING_BLOCK * ((gap - 1) // 4)
+    p1 += PADDING_BLOCK * ((3 - gap) // 4)
 
     chunks0 = [p0[i:i + 2] for i in range(0, len(p0), 2)]
     chunks1 = [p1[i:i + 2] for i in range(0, len(p1), 2)]

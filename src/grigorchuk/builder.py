@@ -5,6 +5,8 @@ popped buffer is typed: if some candidate output word cancels enough
 buffer weight per unit of its own weight (the quality score), the state
 emits that word and hangs one edge at the shrunken buffer; otherwise the
 state consumes chunks and hangs nine edges at the extended buffers.
+The scan for that word tests each candidate against one running floor:
+1/eta_prime until some candidate wins, then the best score so far.
 Quality-driven typing steers cycles toward a low output-to-input weight
 ratio; the finished machine's exact ratio is measured afterwards with
 max_cycle_ratio.  Special end-of-input transitions are attached last, at
@@ -114,52 +116,39 @@ def build(params: BuildParams, log: list[str] | None = None) -> TransducerGraph:
     scanned = 0
 
     def best_output(buf: Buffer) -> tuple[_Candidate, Buffer, float] | None:
-        # Only candidates scoring at least 1/eta_prime may be emitted;
-        # among those the highest quality wins, first found on ties, so
-        # rebuilds from equal parameters are byte-identical.  A remainder
-        # counts only if it is settled.  The first candidate scanned
-        # settles the forms up to the buffer's weight plus one, so a scan
-        # cut off at once settles nothing.
+        # The highest quality wins, first found on ties, so rebuilds from
+        # equal parameters are byte-identical; a remainder counts only if
+        # it is settled.  The first candidate scanned settles the forms up
+        # to the buffer's weight plus one, so a scan cut off at once
+        # settles nothing.
         #
-        # Candidates come weight-sorted and remainder weights are >= 0, so
-        # a candidate of weight W has q <= total/W + delta*bal/SCALE, and
-        # that bound falls as W grows.  Once it is <= best_q + 1e-12, no
-        # later candidate can pass the strict "> best_q + 1e-12" test, so
-        # the scan stops with the same winner.  The float bound is safe:
-        # the numerator is an exact integer, and IEEE division and
-        # addition are monotone.
-        #
-        # A candidate is skipped unscanned when the triangle inequality
-        # rules it out.  The buffer (w0, w1) holds canonical forms, so w0
-        # is the weight of its element e0.  The remainder r0 = v0^-1 * e0
-        # has weight o0 >= |w0 - a0|, with a0 the weight of v0^-1 (which
-        # is v0's weight), because |g*h| >= |g| - |h| and |g^-1| = |g|;
-        # likewise o1 >= |w1 - a1|.  The bonus term is at most
-        # delta*bal/SCALE.  So q <= (total - |w0-a0| - |w1-a1|)/W + bonus,
-        # where the numerator is again an exact integer and the float
-        # bound is monotone in it; a candidate whose bound fails the
-        # threshold or cannot beat best_q would be rejected by those same
-        # tests below, so skipping it leaves the winner unchanged.
+        # A candidate wins when its quality q exceeds one running floor,
+        # which starts at threshold - 1e-12 and becomes q + 1e-12 at each
+        # win.  There are two upper bounds on q, and a candidate whose
+        # bound does not clear floor cannot win.  Remainder weights are
+        # >= 0, so q <= total/W + bonus at weight W; that bound falls along
+        # the weight-sorted scan, so its first failure ends the scan.  The
+        # triangle inequality gives remainder weights o0 >= |w0 - a0| and
+        # o1 >= |w1 - a1|, with a0, a1 the weights of v's section inverses,
+        # so q <= (total - |w0-a0| - |w1-a1|)/W + bonus skips a candidate.
+        # Both numerators are exact integers and IEEE division and
+        # addition are monotone, so the float bounds are safe.
         nonlocal scanned
         e0, e1 = element_of(buf[0]), element_of(buf[1])
         w0 = word_weight(buf[0], weights)
         w1 = word_weight(buf[1], weights)
-        total, bal = w0 + w1, abs(w0 - w1)
-        bonus = delta * bal / SCALE
-        slack = threshold - bonus
+        total = w0 + w1
+        bonus = delta * abs(w0 - w1) / SCALE
+        floor = threshold - 1e-12
         best = None
-        best_q = float("-inf")
         for i, cand in enumerate(candidates):
-            if slack > 0 and cand.weight * slack > total:
-                break  # no later candidate can reach the threshold
-            if best is not None and \
-                    total / cand.weight + bonus <= best_q + 1e-12:
-                break  # no later candidate can beat the best found
+            if total / cand.weight + bonus <= floor:
+                break  # no later candidate can win
             if i == 0:
                 forms.extend(total + SCALE)
             a0, a1 = cand.left_weight, cand.right_weight
-            bound = (total - abs(w0 - a0) - abs(w1 - a1)) / cand.weight + bonus
-            if bound < threshold - 1e-12 or bound <= best_q + 1e-12:
+            if (total - abs(w0 - a0) - abs(w1 - a1)) / cand.weight + bonus \
+                    <= floor:
                 continue  # the triangle bound rules it out
             r0 = mul(cand.left, e0)
             o0 = form_weight.get(r0)
@@ -170,11 +159,9 @@ def build(params: BuildParams, log: list[str] | None = None) -> TransducerGraph:
             if o1 is None:
                 continue
             q = _score(w0, w1, o0, o1, cand.weight, delta)
-            if q < threshold - 1e-12:
-                continue
-            if q > best_q + 1e-12:
+            if q > floor:
                 best = (cand, (forms.table[r0], forms.table[r1]), q)
-                best_q = q
+                floor = q + 1e-12
         else:
             i = len(candidates)  # no cut fired: all were scanned
         scanned += i

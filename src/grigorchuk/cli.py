@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .automaton import (GraphFormatError, TransduceError, buffer_text,
@@ -139,8 +140,7 @@ def _cmd_check_sbgp(args) -> int:
     checks = check_subgroup_growth(forms, radii, in_H, 2, weights["a"])
     if args.json:
         print(json.dumps({"checks": [
-            {"radius": format_scaled(c.radius), "lower": c.lower,
-             "middle": c.middle, "upper": c.upper, "holds": c.holds}
+            {**asdict(c), "radius": format_scaled(c.radius), "holds": c.holds}
             for c in checks]}))
     else:
         for c in checks:
@@ -156,15 +156,7 @@ def _cmd_check_sbgp(args) -> int:
 def _cmd_verify_graph(args) -> int:
     report = verify_graph(_load_graph(args.file))
     if args.json:
-        print(json.dumps({
-            "ok": report.ok,
-            "violations": report.violations,
-            "notes": report.notes,
-            "input_states": report.input_states,
-            "output_states": report.output_states,
-            "transitions": report.transitions,
-            "swapped_successors": report.swapped_successors,
-        }))
+        print(json.dumps({"ok": report.ok, **asdict(report)}))
     else:
         print(f"input states: {report.input_states}")
         print(f"output states: {report.output_states}")
@@ -184,8 +176,6 @@ def _cmd_verify_graph(args) -> int:
 def _edge_text(t) -> str:
     if t.output is not None:
         label = f"out {_show(t.output)}"
-    elif t.special:
-        label = f"pad {_show(t.reads[1])}"
     else:
         label = f"in {buffer_text(t.reads)}"
     return f"{buffer_text(t.src)} --{label}--> {buffer_text(t.dst)}"
@@ -218,11 +208,7 @@ def _cmd_transduce(args) -> int:
     graph = _load_graph(args.file)
     result = transduce(graph, (_read(args.left), _read(args.right)))
     if args.json:
-        print(json.dumps({
-            "output": _show(result.output),
-            "used_special": result.used_special,
-            "consumed_chunks": result.consumed_chunks,
-        }))
+        print(json.dumps({**asdict(result), "output": _show(result.output)}))
     else:
         print(_show(result.output))
     return 0

@@ -13,8 +13,9 @@ reduced word in which a's and {b,c,d}-letters alternate.
 
 Everything in this module is word-level and exact: free reduction,
 the string action, the section decomposition of parity-even words, the
-order-8 dihedral quotient used for membership tests, and the auxiliary
-substitutions that power the baseline preimage construction.
+order-8 dihedral quotient used for membership tests (a word's residue
+there is a signed count of its letters), and the auxiliary substitutions
+that power the baseline preimage construction.
 
 The segment form.  A reduced word is ``x0 a x1 a ... a xk`` with each
 ``xi`` in the Klein group {1, b, c, d}, and no inner ``xi`` (0 < i < k)
@@ -162,18 +163,13 @@ def act(w: str, s: str) -> str:
     return s
 
 
-def a_parity(w: str) -> int:
-    """Number of a's in w, modulo 2."""
-    return w.count("a") & 1
-
-
 def in_H(w: str) -> bool:
     """Whether w lies in the index-2 subgroup of words with evenly many a's.
 
     Such words preserve the first bit of every string, so they act on the
     two subtrees separately.
     """
-    return a_parity(w) == 0
+    return w.count("a") % 2 == 0
 
 
 def sections(w: str) -> tuple[int, str, str]:
@@ -204,39 +200,33 @@ def psi(w: str) -> tuple[str, str]:
 #
 # Collapsing b kills the recursion: the images A of a and D of d generate
 # a dihedral group of order 8 with rotation R = A*D.  Elements are encoded
-# as (t, e) meaning R^t * A^e.  The normal closure of b is exactly the
-# kernel of this quotient map, which makes membership testing exact and
-# linear-time.
-
-D4Elem = tuple[int, int]
-
-D4_ONE: D4Elem = (0, 0)
-D4_A: D4Elem = (0, 1)
-D4_D: D4Elem = (3, 1)
-
-_D4_OF_LETTER = {"a": D4_A, "b": D4_ONE, "c": D4_D, "d": D4_D}
+# as (t, e) meaning R^t * A^e.  A and D (the image of c too) are
+# reflections and b maps to 1, so a residue is a signed count: each a
+# flips e, and each c or d adds 2*e - 1 to t before flipping e.  The
+# normal closure of b is exactly the kernel of this quotient map, which
+# makes membership testing exact and linear-time.
 
 
-def d4_mul(x: D4Elem, y: D4Elem) -> D4Elem:
-    t1, e1 = x
-    t2, e2 = y
-    return ((t1 + (t2 if e1 == 0 else -t2)) % 4, e1 ^ e2)
-
-
-def residue(w: str) -> D4Elem:
-    """Image of w in the dihedral quotient that collapses b."""
-    r = D4_ONE
+def residue(w: str) -> tuple[int, int]:
+    """Image (t, e) of w in the dihedral quotient that collapses b."""
+    t = e = 0
     for ch in w:
-        r = d4_mul(r, _D4_OF_LETTER[ch])
-    return r
+        if ch == "a":
+            e ^= 1
+        elif ch in "cd":
+            t += 2 * e - 1
+            e ^= 1
+        elif ch != "b":
+            check_word(w)
+    return t % 4, e
 
 
 def in_B(w: str) -> bool:
     """Whether w lies in the normal closure of b (the quotient kernel)."""
-    return residue(w) == D4_ONE
+    return residue(w) == (0, 0)
 
 
-def d4_flip(x: D4Elem) -> D4Elem:
+def d4_flip(x: tuple[int, int]) -> tuple[int, int]:
     """The outer automorphism of the quotient induced by taking sections.
 
     A parity-even word w has first section in the closure of b exactly when
@@ -244,8 +234,7 @@ def d4_flip(x: D4Elem) -> D4Elem:
     residue; it sends the rotation to its inverse and A to D.
     """
     t, e = x
-    base: D4Elem = ((-t) % 4, 0)
-    return d4_mul(base, D4_D) if e else base
+    return (3 * e - t) % 4, e
 
 
 def pair_in_section_image(w0: str, w1: str) -> bool:

@@ -251,6 +251,11 @@ class TestParsing:
         with pytest.raises(GraphFormatError, match="no initial state"):
             parse_graph(text)
 
+    @pytest.mark.parametrize("text", ["", "# a comment\n\n  # another\n"])
+    def test_no_graph_at_all(self, text):
+        with pytest.raises(GraphFormatError, match="^no initial state$"):
+            parse_graph(text)
+
     def test_weights_line_required_first(self):
         text = "state (-,-) input initial\n" + TOY
         with pytest.raises(GraphFormatError, match="weights line must come first"):

@@ -47,6 +47,10 @@ class TestHashConsing:
         assert element_of("bc") is element_of("d")
         assert element_of("abab") is element_of(free_reduce("abbbab"))
 
+    def test_repr(self):
+        assert repr(ATOMS["a"]) == "<elem a>"
+        assert repr(element_of("ab")) == "<elem swap=1 <elem c> <elem a>>"
+
     def test_distinct_elements_differ(self):
         assert element_of("ab") is not element_of("ba")
 

@@ -79,6 +79,10 @@ class TestWeights:
         with pytest.raises(ValueError, match="repeated weight .* 'a'"):
             parse_weights("a=1 a=5 b=1 c=1 d=1")
 
+    def test_parse_rejects_unknown_generator(self):
+        with pytest.raises(ValueError, match="unknown generator 'e'"):
+            parse_weights("a=1 b=1 c=1 d=1 e=1")
+
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_weights("a=1 b=x")

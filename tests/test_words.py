@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from grigorchuk import (act, free_reduce, in_B, in_H, pair_in_section_image,
                         psi, psi_preimage_basic, rev, sigma, tau, words_equal)
-from grigorchuk.words import (SECTIONS_OF, check_word, sections, segments,
-                              spell)
+from grigorchuk.words import (SECTIONS_OF, check_word, d4_flip, residue,
+                              sections, segments, spell)
 
 from conftest import long_words
 
@@ -66,6 +66,30 @@ def letter_sections(w):
             s0.append(hi)
             s1.append(lo)
     return p, letter_reduce("".join(s0)), letter_reduce("".join(s1))
+
+
+# the dihedral quotient as (t, e) = R^t * A^e, folded letter by letter:
+# the reference for ``residue`` and ``d4_flip``
+D4_ONE, D4_A, D4_D = (0, 0), (0, 1), (3, 1)
+D4_OF_LETTER = {"a": D4_A, "b": D4_ONE, "c": D4_D, "d": D4_D}
+
+
+def d4_mul(x, y):
+    (t1, e1), (t2, e2) = x, y
+    return ((t1 + (t2 if e1 == 0 else -t2)) % 4, e1 ^ e2)
+
+
+def letter_residue(w):
+    r = D4_ONE
+    for ch in w:
+        r = d4_mul(r, D4_OF_LETTER[ch])
+    return r
+
+
+def letter_flip(x):
+    t, e = x
+    base = ((-t) % 4, 0)
+    return d4_mul(base, D4_D) if e else base
 
 
 def all_words(max_len):
@@ -233,6 +257,20 @@ class TestSigmaTau:
             w0, w1 = psi(free_reduce(sigma(g)))
             assert words_equal(w0, tau(g))
             assert words_equal(w1, g)
+
+
+class TestDihedral:
+    def test_signed_count_matches_letter_fold(self):
+        for w in all_words(7):
+            r = residue(w)
+            assert r == letter_residue(w), w
+            assert d4_flip(r) == letter_flip(r), w
+
+    def test_bad_letter_rejected(self):
+        with pytest.raises(ValueError, match="invalid letter 'x'"):
+            in_B("abx")
+        with pytest.raises(ValueError, match="invalid letter 'x'"):
+            pair_in_section_image("abx", "")
 
 
 class TestPreimage:
