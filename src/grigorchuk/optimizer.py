@@ -16,8 +16,11 @@ rejected without measuring the machine.
 
 Finish: the hill-climb stalls at kinks where several cycles tie.  The
 cuts then form a model, the largest cut ratio, which is minimised over
-triangular weights in exact fractions (a cutting plane for a generalized
-linear-fractional program; Dinkelbach 1967, Crouzeix and Ferland 1991).
+triangular weights as a sequence of matrix games (a cutting plane for a
+generalized linear-fractional program; Dinkelbach 1967, Crouzeix and
+Ferland 1991).  Each game is solved exactly in integers; every tableau
+row is a positive multiple of its row in fractions, so every pivot is
+the one that fractions would take.
 The model's optimum is rounded to the 1e-4 weight grid and measured, its
 witness joins the cuts, and the loop stops once the best measured ratio
 is within 1e-4 of the model's lower bound.  On the bundled machine both
@@ -49,12 +52,12 @@ FINISH_TOLERANCE = 1e-4
 # The model searches the triangular weights with b + c + d <= 2*MODEL_SPAN
 # (a = 1): in (a, b, c, d) they are the convex cone over a alone and the
 # three rays (0,1,1), (1,0,1), (1,1,0) of the triangular cone, each
-# scaled to MODEL_SPAN.
+# scaled to MODEL_SPAN, and stored times MODEL_SPAN to be integers.
 MODEL_SPAN = 100
-_VERTICES = ((1, 0, 0, 0),
-             (Fraction(1, MODEL_SPAN), 0, 1, 1),
-             (Fraction(1, MODEL_SPAN), 1, 0, 1),
-             (Fraction(1, MODEL_SPAN), 1, 1, 0))
+_VERTICES = ((MODEL_SPAN, 0, 0, 0),
+             (1, 0, MODEL_SPAN, MODEL_SPAN),
+             (1, MODEL_SPAN, 0, MODEL_SPAN),
+             (1, MODEL_SPAN, MODEL_SPAN, 0))
 _MODEL_GAP = Fraction(1, 10 ** 9)
 _MODEL_ROUNDS = 200
 
@@ -70,8 +73,12 @@ class OptimizerSchedule:
     def validate(self) -> None:
         if not self.step_sizes:
             raise ValueError("schedule needs at least one step size")
+        if not all(math.isfinite(s * SCALE) for s in self.step_sizes):
+            raise ValueError("step sizes must be finite")
         if any(s <= 0 for s in self.step_sizes):
             raise ValueError("step sizes must be positive")
+        if any(round(s * SCALE) < 1 for s in self.step_sizes):
+            raise ValueError("step sizes must be at least the 1e-4 grid unit")
         if list(self.step_sizes) != sorted(self.step_sizes, reverse=True):
             raise ValueError("step sizes must decrease")
         if self.max_iterations < 1:
@@ -108,12 +115,6 @@ def trace_csv(trace: list[TraceRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _gauge(weights: Weight) -> Weight:
-    """Rescale so a carries exactly one unit; ratios are scale-invariant."""
-    a = weights["a"]
-    return {k: round(v * SCALE / a) for k, v in weights.items()}
-
-
 def _cut(witness: CycleReport) -> Cut:
     consumed = "".join("".join(t.reads) for t in witness.cycle)
     emitted = "".join(t.output for t in witness.cycle if t.output is not None)
@@ -128,38 +129,41 @@ def _ratio(cut: Cut, weights) -> Fraction:
                     sum(n * w for n, w in zip(consumed, weights)))
 
 
-def _game(payoff: list[list[Fraction]]) -> tuple[list[Fraction], list[Fraction]]:
-    """Optimal (row, column) strategies of a zero-sum game, rows maximising.
+def _game(payoff: list[list[int]], unit: int) -> tuple[list[int], list[int]]:
+    """Optimal (row, column) strategies of a zero-sum game, rows maximising,
+    whose payoffs are ``payoff`` over the positive integer ``unit``.
 
     Shifts the payoffs positive and solves  max sum(q)  s.t.  A q <= 1,
-    q >= 0  by the simplex method with Bland's rule; q and the slack
-    prices, each scaled to sum one, are the two strategies.
+    q >= 0  by the simplex method with Bland's rule, fraction-free (Edmonds
+    1967, Bareiss 1968): the tableau is integers over one denominator, and
+    each division is exact since every entry is a minor of the first.
+    Returns the slack prices and q; each, scaled to sum one, is a strategy.
     """
     rows, cols = len(payoff), len(payoff[0])
-    shift = 1 - min(min(row) for row in payoff)
-    tab = [[Fraction(x + shift) for x in row]
-           + [Fraction(i == k) for i in range(rows)] + [Fraction(1)]
+    shift = unit - min(min(row) for row in payoff)
+    tab = [[x + shift for x in row]
+           + [unit * (i == k) for i in range(rows)] + [unit]
            for k, row in enumerate(payoff)]
-    cost = [Fraction(-1)] * cols + [Fraction(0)] * (rows + 1)
+    tab.append([-1] * cols + [0] * (rows + 1))
     basis = list(range(cols, cols + rows))
-    while (enter := next((j for j, x in enumerate(cost[:-1]) if x < 0),
+    denom = 1
+    while (enter := next((j for j, x in enumerate(tab[rows][:-1]) if x < 0),
                          None)) is not None:
-        _, _, k = min((tab[r][-1] / tab[r][enter], basis[r], r)
+        _, _, k = min((Fraction(tab[r][-1], tab[r][enter]), basis[r], r)
                       for r in range(rows) if tab[r][enter] > 0)
-        tab[k] = [x / tab[k][enter] for x in tab[k]]
-        for r in range(rows):
-            if r != k and tab[r][enter]:
-                f = tab[r][enter]
-                tab[r] = [x - f * y for x, y in zip(tab[r], tab[k])]
-        f = cost[enter]
-        cost = [x - f * y for x, y in zip(cost, tab[k])]
+        pivot = tab[k]
+        p = pivot[enter]
+        for r, row in enumerate(tab):
+            if r != k:
+                f = row[enter]
+                tab[r] = [(p * x - f * y) // denom for x, y in zip(row, pivot)]
+        denom = p
         basis[k] = enter
-    q = [Fraction(0)] * cols
+    q = [0] * cols
     for r, j in enumerate(basis):
         if j < cols:
             q[j] = tab[r][-1]
-    p = cost[cols:cols + rows]
-    return [x / sum(p) for x in p], [x / sum(q) for x in q]
+    return tab[rows][cols:cols + rows], q
 
 
 def _model(cuts: list[Cut], level: Fraction) -> tuple[Fraction, tuple]:
@@ -180,16 +184,17 @@ def _model(cuts: list[Cut], level: Fraction) -> tuple[Fraction, tuple]:
            for consumed, _ in cuts]
     lower, upper, point = Fraction(0), None, None
     for _ in range(_MODEL_ROUNDS):
-        lam, mix = _game([[n - level * d for n, d in zip(nk, dk)]
-                          for nk, dk in zip(num, den)])
+        lt, lb = level.numerator, level.denominator
+        lam, mix = _game([[n * lb - lt * d for n, d in zip(nk, dk)]
+                          for nk, dk in zip(num, den)], MODEL_SPAN * lb)
         weights = tuple(sum(m * v[i] for m, v in zip(mix, _VERTICES))
                         for i in range(4))
         top = max(_ratio(cut, weights) for cut in cuts)
         if upper is None or top < upper:
             upper, point = top, weights
         lower = max(lower, min(
-            sum(m * nk[j] for m, nk in zip(lam, num))
-            / sum(m * dk[j] for m, dk in zip(lam, den))
+            Fraction(sum(m * nk[j] for m, nk in zip(lam, num)),
+                     sum(m * dk[j] for m, dk in zip(lam, den)))
             for j in range(len(_VERTICES))))
         if upper - lower <= _MODEL_GAP:
             break
@@ -197,11 +202,12 @@ def _model(cuts: list[Cut], level: Fraction) -> tuple[Fraction, tuple]:
     return lower, point
 
 
-def _grid_point(point: tuple) -> Weight:
-    """Round a model point to a triangular weight on the 1e-4 grid, a = 1."""
+def _on_grid(ratios) -> Weight:
+    """Round b, c, d, given as ratios to a, to a triangular weight on the
+    1e-4 grid with a = 1, lowering each to at most the other two."""
     trial = {"a": SCALE}
-    for ch, value in zip(COORDINATES, point[1:]):
-        trial[ch] = max(1, round(SCALE * value / point[0]))
+    for ch, value in zip(COORDINATES, ratios):
+        trial[ch] = max(1, round(SCALE * value))
     for ch in COORDINATES:
         trial[ch] = min(trial[ch],
                         sum(trial[o] for o in COORDINATES if o != ch))
@@ -225,8 +231,10 @@ def optimize_weights(
     """
     schedule = schedule or OptimizerSchedule()
     schedule.validate()
-    weights = _gauge(dict(initial or graph.weights))
+    weights = dict(initial or graph.weights)
     check_weights(weights)
+    # rescale so a carries exactly one unit; ratios are scale-invariant
+    weights = _on_grid(Fraction(weights[c], weights["a"]) for c in COORDINATES)
 
     best, witness = max_cycle_ratio(graph, weights)
     cuts = [_cut(witness)]
@@ -274,7 +282,7 @@ def optimize_weights(
         bound, point = _model(cuts, Fraction(best))
         if best <= bound + FINISH_TOLERANCE:
             break
-        trial = _grid_point(point)
+        trial = _on_grid(Fraction(v, point[0]) for v in point[1:])
         key = tuple(trial[c] for c in COORDINATES)
         if key in seen:
             break

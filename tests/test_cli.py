@@ -298,3 +298,22 @@ class TestBuildOptimize:
         assert err.startswith("eta ")
         written = parse_weights(out_path.read_text())
         assert written["a"] == 10000
+
+    def test_optimize_from_a_not_one(self, capsys, tmp_path):
+        out_path = tmp_path / "weights.txt"
+        rc, _, err = run(capsys, "optimize", "--graph", FIXTURE,
+                         "--weights", "a=3 b=2 c=1 d=1",
+                         "--out", str(out_path))
+        assert (rc, err) == (0, "eta 3.93124\n")
+        assert out_path.read_text() == "a=1 b=6.1425 c=4.8968 d=3.2456\n"
+
+    @pytest.mark.parametrize("schedule", ["inf", "nan", "0.00001"])
+    def test_optimize_rejects_off_grid_steps(self, capsys, tmp_path,
+                                             schedule):
+        out_path = tmp_path / "weights.txt"
+        rc, out, err = run(capsys, "optimize", "--graph", FIXTURE,
+                           "--schedule", schedule, "--out", str(out_path))
+        assert (rc, out) == (1, "")
+        assert err.startswith("error: step sizes must be")
+        assert len(err.splitlines()) == 1
+        assert not out_path.exists()
