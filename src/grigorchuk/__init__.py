@@ -16,9 +16,8 @@ from .growth import (BoundParams, alpha_of_eta, check_subgroup_growth, gamma,
                      gamma_by_signature, gamma_table, lower_bound_log_gamma)
 from .automaton import (CycleReport, GraphFormatError, TransducerGraph,
                         TransduceError, VerificationReport, first_loop_ratio,
-                        max_cycle_ratio, parse_graph, path_excess_constant,
-                        preimage_constant, serialize_graph, transduce,
-                        verify_graph)
+                        max_cycle_ratio, parse_graph, preimage_constant,
+                        serialize_graph, transduce, verify_graph)
 from .builder import BuildParams, build
 from .optimizer import (OptimizerSchedule, TraceRow, optimize_weights,
                         trace_csv)
@@ -33,8 +32,8 @@ __all__ = [
     "gamma_by_signature", "gamma_table", "lower_bound_log_gamma",
     "CycleReport", "GraphFormatError", "TransducerGraph", "TransduceError",
     "VerificationReport", "first_loop_ratio", "max_cycle_ratio",
-    "parse_graph", "path_excess_constant", "preimage_constant",
-    "serialize_graph", "transduce", "verify_graph",
+    "parse_graph", "preimage_constant", "serialize_graph", "transduce",
+    "verify_graph",
     "BuildParams", "build",
     "OptimizerSchedule", "TraceRow", "optimize_weights", "trace_csv",
 ]

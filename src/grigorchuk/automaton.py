@@ -97,11 +97,25 @@ class Transition:
 
 @dataclass
 class CycleReport:
+    """The exact maximal cycle ratio ``eta``, a ``cycle`` attaining it
+    (with its weights in weight units) and integer ``potentials``, one per
+    state in ``graph.states`` order: at eta = p/q, in 1e-4 weight units,
+    2q*out - p*(in0+in1) + pi(src) - pi(dst) <= 0 on every non-special
+    transition, so no cycle exceeds eta."""
+
+    eta: Fraction
     cycle: list[Transition]
+    potentials: list[int]
     in_weight0: float
     in_weight1: float
     out_weight: float
-    ratio: float
+
+    @property
+    def excess(self) -> float:
+        """Largest accumulated 2*out - eta*(in0+in1) over walks, halved,
+        in weight units: how far any run's output can exceed eta/2 times
+        its consumed weight."""
+        return max(self.potentials) / (2 * self.eta.denominator * SCALE)
 
 
 @dataclass
@@ -419,11 +433,12 @@ def verify_graph(graph: TransducerGraph) -> VerificationReport:
     Every transition must leave a declared state and reach
     graph.successor of its source, reading its chunk or pad and writing
     its output, and that target must be a declared state; output labels
-    must also be parity-even and weight-minimal, specials must leave the
-    input state START and read pads in the closure of b, input states
-    need nine chunk successors and no output, and output states exactly
-    one output and no chunk or pad.  A successor stored with swapped
-    components is accepted and counted, not flagged.
+    must also be parity-even, weight-minimal and on a transition that
+    reads nothing, specials must leave the input state START and read
+    pads in the closure of b, input states need nine chunk successors and
+    no output, and output states exactly one output and no chunk or
+    pad.  A successor stored with swapped components is accepted and
+    counted, not flagged.
     """
     report = VerificationReport()
     report.input_states = list(graph.states.values()).count("input")
@@ -438,6 +453,12 @@ def verify_graph(graph: TransducerGraph) -> VerificationReport:
         src_name = buffer_text(t.src)
         if t.output is not None:
             label = f"output {t.output!r}"
+            if t.reads != ("", ""):
+                # the file format writes a read and an emission as two
+                # transitions through the middle buffer
+                report.violations.append(
+                    f"{label} at {src_name} also reads "
+                    f"{buffer_text(t.reads)}")
             if not in_H(t.output):
                 report.violations.append(
                     f"{label} at {src_name} has odd a-parity")
@@ -569,52 +590,31 @@ def _dinkelbach(n: int, edges: list) -> tuple[Fraction, list[int], list[int]]:
     return eta, witness, dist
 
 
-def _cycle_ratio(graph: TransducerGraph,
-                 weights: Weight) -> tuple[Fraction, CycleReport, list[int]]:
-    """The graph's exact maximal cycle ratio, its witness and its
-    potentials, in scaled units.  Special transitions are left out: no
-    certified number depends on them."""
+def _cycle_ratio(graph: TransducerGraph, weights: Weight) -> CycleReport:
+    """The graph's exact maximal cycle ratio with its certificate.  Special
+    transitions are left out: no certified number depends on them."""
     index = {b: i for i, b in enumerate(graph.states)}
     kept = [t for t in graph.transitions.values() if not t.special]
     edges = [(index[t.src], index[t.dst], *t.consumed(weights),
               t.emitted(weights)) for t in kept]
     eta, cycle, dist = _dinkelbach(len(graph.states), edges)
     i0, i1, out = (sum(edges[ei][k] for ei in cycle) for k in (2, 3, 4))
-    report = CycleReport([kept[ei] for ei in cycle], i0 / SCALE, i1 / SCALE,
-                         out / SCALE, float(eta))
-    return eta, report, dist
-
-
-def _walk_excess(eta: Fraction, dist: list[int]) -> float:
-    """Largest walk value of ``_cycle_ratio``'s potentials, halved, in
-    weight units."""
-    return max(dist) / (2 * eta.denominator * SCALE)
+    return CycleReport(eta, [kept[ei] for ei in cycle], dist, i0 / SCALE,
+                       i1 / SCALE, out / SCALE)
 
 
 def max_cycle_ratio(graph: TransducerGraph, weights: Weight | None = None
                     ) -> tuple[float, CycleReport]:
     """Largest 2*out/(in0+in1) over directed cycles of non-special
-    transitions, with a witness.
+    transitions, as a float, with its exact report.
 
-    The value is exact: it is the witness cycle's own ratio, and no cycle
-    beats it (see ``_cycle_ratio``).  Raises TransduceError when a cycle
-    emits output without consuming input, or when no cycle emits output.
+    The value is exact: it is the witness cycle's own ratio, and the
+    report's potentials show no cycle beats it.  Raises TransduceError
+    when a cycle emits output without consuming input, or when no cycle
+    emits output.
     """
-    eta, report, _ = _cycle_ratio(graph, weights or graph.weights)
-    return float(eta), report
-
-
-def path_excess_constant(graph: TransducerGraph,
-                         weights: Weight | None = None) -> float:
-    """Largest accumulated 2*out - eta*(in0+in1) over walks, halved.
-
-    At the exact maximal ratio eta no cycle has positive value, so the
-    longest walk values are the potentials of the final relaxation; the
-    result bounds how far any run's output can exceed eta/2 times its
-    consumed weight.
-    """
-    eta, _, dist = _cycle_ratio(graph, weights or graph.weights)
-    return _walk_excess(eta, dist)
+    report = _cycle_ratio(graph, weights or graph.weights)
+    return float(report.eta), report
 
 
 # --- transduction -----------------------------------------------------------
@@ -766,9 +766,8 @@ def preimage_constant(graph: TransducerGraph, weights: Weight | None = None) -> 
     the closing residue's baseline preimage.
     """
     weights = weights or graph.weights
-    exact, _, dist = _cycle_ratio(graph, weights)
-    eta = float(exact)
-    excess = _walk_excess(exact, dist)
+    report = _cycle_ratio(graph, weights)
+    eta = float(report.eta)
     prefix = word_weight("aba", weights) / SCALE
     rewrite = max(word_weight(CHUNKED_LETTER[x], weights) - weights[x]
                   for x in "bcd") / SCALE
@@ -779,7 +778,7 @@ def preimage_constant(graph: TransducerGraph, weights: Weight | None = None) -> 
     # psi_preimage_basic's length bound for residues of max_buffer + 8
     residue_len = 6 * (max_buffer + 8) + 4
     closing = residue_len * max(weights.values()) / SCALE
-    return prefix + excess + overhead + closing
+    return prefix + report.excess + overhead + closing
 
 
 def first_loop_ratio(graph: TransducerGraph, weights: Weight | None = None) -> float:

@@ -191,6 +191,9 @@ def _cmd_eta(args) -> int:
             "in_weight0": report.in_weight0,
             "in_weight1": report.in_weight1,
             "out_weight": report.out_weight,
+            "eta_exact": str(report.eta),
+            "potentials": dict(zip(map(buffer_text, graph.states),
+                                   report.potentials)),
         }))
     else:
         print(_fmt(eta))

@@ -236,17 +236,18 @@ def optimize_weights(
     # rescale so a carries exactly one unit; ratios are scale-invariant
     weights = _on_grid(Fraction(weights[c], weights["a"]) for c in COORDINATES)
 
-    best, witness = max_cycle_ratio(graph, weights)
-    cuts = [_cut(witness)]
+    cuts: list[Cut] = []
     seen = {tuple(weights[c] for c in COORDINATES)}
     trace: list[TraceRow] = []
 
-    def measure(trial: Weight) -> float:
-        eta, witness = max_cycle_ratio(graph, trial)
-        cut = _cut(witness)
+    def measure(trial: Weight) -> Fraction:
+        report = max_cycle_ratio(graph, trial)[1]
+        cut = _cut(report)
         if cut not in cuts:
             cuts.append(cut)
-        return eta
+        return report.eta
+
+    best = measure(weights)
 
     for step_units in schedule.step_sizes:
         step = round(step_units * SCALE)
@@ -268,18 +269,18 @@ def optimize_weights(
                 # the machine's ratio is at least any cut's, so a cut at
                 # or above the current ratio decides the proposal as a
                 # measurement would
-                ruled = float(max(_ratio(cut, at) for cut in cuts))
-                eta = ruled if ruled >= best - 1e-9 else measure(trial)
-                keep = eta < best - 1e-9
-                trace.append(TraceRow(len(trace) + 1, coord, step_units, eta,
-                                      keep))
+                ruled = max(_ratio(cut, at) for cut in cuts)
+                eta = ruled if ruled >= best else measure(trial)
+                keep = eta < best
+                trace.append(TraceRow(len(trace) + 1, coord, step_units,
+                                      float(eta), keep))
                 if keep:
                     weights, best = trial, eta
                     improved = True
                     break
 
     while len(trace) < schedule.max_iterations:
-        bound, point = _model(cuts, Fraction(best))
+        bound, point = _model(cuts, best)
         if best <= bound + FINISH_TOLERANCE:
             break
         trial = _on_grid(Fraction(v, point[0]) for v in point[1:])
@@ -288,9 +289,9 @@ def optimize_weights(
             break
         seen.add(key)
         eta = measure(trial)
-        keep = eta < best - 1e-9
+        keep = eta < best
         jump = max(abs(trial[c] - weights[c]) for c in COORDINATES) / SCALE
-        trace.append(TraceRow(len(trace) + 1, "cut", jump, eta, keep))
+        trace.append(TraceRow(len(trace) + 1, "cut", jump, float(eta), keep))
         if keep:
             weights, best = trial, eta
-    return weights, best, trace
+    return weights, float(best), trace

@@ -3,7 +3,7 @@ import pathlib
 import pytest
 from hypothesis import strategies as st
 
-from grigorchuk import parse_graph
+from grigorchuk import max_cycle_ratio, parse_graph
 
 FIXTURE_PATH = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "appendix.graph"
 
@@ -16,6 +16,32 @@ long_words = st.one_of(
               st.sampled_from(["", "a"]),
               st.lists(st.text(alphabet="bcd", max_size=10), max_size=40),
               st.sampled_from(["", "a"])))
+
+
+def cycle_value(t, weights, eta):
+    """A transition's 2q*out - p*(in0+in1) at eta = p/q, in 1e-4 units."""
+    return (2 * t.emitted(weights) * eta.denominator
+            - eta.numerator * sum(t.consumed(weights)))
+
+
+def replay_potentials(graph, eta, potential):
+    """Check that no cycle beats eta: potential, an integer per state
+    buffer, never rises along a non-special transition's value."""
+    for t in graph.transitions.values():
+        if not t.special:
+            assert (cycle_value(t, graph.weights, eta)
+                    + potential[t.src] - potential[t.dst] <= 0)
+
+
+def replay_certificate(graph):
+    """Check the engine's exact eta against its witness and potentials."""
+    report = max_cycle_ratio(graph)[1]
+    eta = report.eta
+    replay_potentials(graph, eta, dict(zip(graph.states, report.potentials)))
+    cycle = report.cycle
+    assert all(a.dst == b.src for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+    assert sum(cycle_value(t, graph.weights, eta) for t in cycle) == 0
+    return eta
 
 
 @pytest.fixture(scope="session")

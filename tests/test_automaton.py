@@ -30,10 +30,11 @@ from grigorchuk import (
     words_equal,
 )
 from grigorchuk.automaton import (CHUNK_PAIRS, START, Transition,
-                                  TransducerGraph, _cycle_ratio, _dinkelbach,
-                                  path_excess_constant)
+                                  TransducerGraph, _dinkelbach)
 from grigorchuk.minforms import SCALE, UNIT_WEIGHTS, parse_weights, word_weight
 from grigorchuk.words import in_H
+
+from conftest import replay_certificate
 
 # A structurally valid machine used for exact-ratio checks.  Its outputs are
 # not group-correct (verify_graph would flag them); only the shape matters
@@ -168,26 +169,6 @@ def replay_edges(n, edges):
     walk = [edges[ei] for ei in cycle]
     assert all(a[1] == b[0] for a, b in zip(walk, walk[1:] + walk[:1]))
     assert sum(value(edge) for edge in walk) == 0
-    return eta
-
-
-def replay_certificate(graph):
-    """Check the engine's exact eta against its witness and potentials."""
-    eta, report, dist = _cycle_ratio(graph, graph.weights)
-    index = {b: i for i, b in enumerate(graph.states)}
-    w = graph.weights
-
-    def value(t):
-        return (2 * t.emitted(w) * eta.denominator
-                - eta.numerator * sum(t.consumed(w)))
-
-    for t in graph.transitions.values():
-        if not t.special:
-            assert value(t) + dist[index[t.src]] - dist[index[t.dst]] <= 0
-    cycle = report.cycle
-    assert all(a.dst == b.src for a, b in zip(cycle, cycle[1:] + cycle[:1]))
-    assert sum(value(t) for t in cycle) == 0
-    assert report.ratio == float(eta)
     return eta
 
 
@@ -496,6 +477,20 @@ class TestVerification:
                                  r"input state"):
             parse_graph(serialize_graph(graph))
 
+    def test_chunk_with_output_caught(self, fixture_text):
+        # the edge reaches its successor, a declared output state, but
+        # the file format writes a read and an emission as two lines
+        # through the middle buffer, here the input state (da,da)
+        graph = parse_graph(fixture_text)
+        t = graph.edge(START, ("da", "da"))
+        t.output, t.dst = "adab", ("aca", "ba")
+        assert verify_graph(graph).violations == [
+            "output 'adab' at (-,-) also reads (da,da)"]
+        with pytest.raises(GraphFormatError,
+                           match=r"^line 14: middle buffer \(da,da\) is a "
+                                 r"declared input state$"):
+            parse_graph(serialize_graph(graph))
+
     def test_undeclared_target_caught(self):
         # every edge reaches its successor, but no state holds it, so
         # serialize_graph and max_cycle_ratio would fail on a KeyError
@@ -558,7 +553,7 @@ class TestCycleRatio:
     def test_toy_exact(self):
         ratio, witness = max_cycle_ratio(parse_graph(TOY))
         assert ratio == pytest.approx(3.0, abs=1e-12)
-        assert witness.ratio == ratio
+        assert float(witness.eta) == ratio
         assert witness.out_weight == 6.0
         assert witness.in_weight0 == witness.in_weight1 == 2.0
 
@@ -601,7 +596,7 @@ class TestCycleRatio:
     def test_constants_finite(self, fixture_graph):
         assert preimage_constant(fixture_graph) == pytest.approx(
             419.354150, abs=1e-2)
-        assert path_excess_constant(fixture_graph) == pytest.approx(
+        assert max_cycle_ratio(fixture_graph)[1].excess == pytest.approx(
             30.25, abs=1e-6)
 
     def test_output_only_cycle_unbounded(self):

@@ -25,6 +25,8 @@ from grigorchuk.minforms import (SCALE, UNIT_WEIGHTS, MinimalForms,
                                  parse_weights, word_weight)
 from grigorchuk.words import in_H, rev
 
+from conftest import replay_certificate
+
 # weights under which the construction lands on its lowest measured cycle
 # ratio; several build tests share one graph because a build takes seconds
 VALLEY = parse_weights("a=1 b=2.7 c=2.0 d=1.3")
@@ -187,8 +189,15 @@ class TestBuild:
         (dict(initial_weight=VALLEY, max_len=12, delta=0.05),
          "636a9db5171ceccbc8b58f88ac644933c92a333f19c5cc7ff3a2a553cca30649",
          "200 (17 input), specials attached: 39", 59697),
+        # an emission's remainder folds onto its stored twin when it is
+        # emitted; without that fold this machine measures eta 5.5, not
+        # 176/35
+        (dict(initial_weight=parse_weights("a=1 b=2.5 c=2.2 d=1.4"),
+              max_len=12, eta_prime=3.2, delta=0.05),
+         "c3ec0339c47b69e0bc0afcedc02c0138b90e04e6b5dae7c956acf199d80c3e57",
+         "226 (22 input), specials attached: 39", 83406),
     ], ids=["valley-quality", "b3.33-c2.8-d1.06", "unit", "eta-prime-3.6",
-            "valley-eta-prime-3.5", "valley-delta-0.05"])
+            "valley-eta-prime-3.5", "valley-delta-0.05", "twin-fold"])
     def test_output_digest(self, kwargs, digest, states, scanned):
         log = []
         graph = build(BuildParams(**kwargs), log=log)
@@ -204,6 +213,8 @@ class TestBuild:
         built, reparsed = verify_graph(graph), verify_graph(parse_graph(text))
         assert (reparsed.ok, reparsed.violations, reparsed.swapped_successors) \
             == (built.ok, built.violations, built.swapped_successors)
+        # and its eta comes with a certificate that replays
+        replay_certificate(graph)
 
     def test_budget_exceeded(self):
         with pytest.raises(RuntimeError, match="budget exceeded"):

@@ -2,15 +2,17 @@
 
 import json
 from dataclasses import fields
+from fractions import Fraction
 
 import pytest
 
 from grigorchuk import (BuildParams, OptimizerSchedule, parse_graph,
                         verify_graph)
+from grigorchuk.automaton import buffer_text
 from grigorchuk.cli import _parser, main
-from grigorchuk.minforms import parse_weights
+from grigorchuk.minforms import SCALE, parse_weights
 
-from conftest import FIXTURE_PATH
+from conftest import FIXTURE_PATH, replay_potentials
 
 FIXTURE = str(FIXTURE_PATH)
 
@@ -222,6 +224,23 @@ class TestGraphCommands:
         recomputed = 2 * payload["out_weight"] / (
             payload["in_weight0"] + payload["in_weight1"])
         assert recomputed == pytest.approx(payload["eta"], abs=1e-9)
+
+    def test_eta_json_certificate_replays(self, capsys):
+        # the exact eta, its witness's weights and the potentials certify
+        # the ratio from the JSON and the parsed file alone
+        rc, out, _ = run(capsys, "eta", FIXTURE, "--json")
+        payload = json.loads(out)
+        eta = Fraction(payload["eta_exact"])
+        assert (rc, eta, payload["eta"]) == (0, Fraction(6651, 1571),
+                                             float(eta))
+        graph = parse_graph(FIXTURE_PATH.read_text())
+        potentials = payload["potentials"]
+        assert list(potentials) == [buffer_text(b) for b in graph.states]
+        replay_potentials(graph, eta, {b: potentials[buffer_text(b)]
+                                       for b in graph.states})
+        witness = [round(payload[k] * SCALE)
+                   for k in ("out_weight", "in_weight0", "in_weight1")]
+        assert Fraction(2 * witness[0], witness[1] + witness[2]) == eta
 
     def test_transduce(self, capsys):
         rc, out, _ = run(capsys, "transduce", FIXTURE, "dada", "dada")

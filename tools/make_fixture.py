@@ -235,7 +235,7 @@ def main() -> int:
     from grigorchuk.automaton import (first_loop_ratio, max_cycle_ratio,
                                       parse_graph, verify_graph)
     report = verify_graph(graph)
-    eta, cycle = max_cycle_ratio(graph)
+    eta, witness = max_cycle_ratio(graph)
     loop = first_loop_ratio(graph)
     n_input = list(graph.states.values()).count("input")
     print(f"states: {len(graph.states)} ({n_input} input), "
@@ -248,7 +248,7 @@ def main() -> int:
           f"swapped successors accepted")
     for v in report.violations[:10]:
         print("  !", v)
-    print(f"eta (specials excluded): {eta:.6f}")
+    print(f"eta (specials excluded): {eta:.6f} = {witness.eta}")
     print(f"two-chunk loop at the initial state: {loop:.6f}")
 
     text = serialize_graph(graph)
