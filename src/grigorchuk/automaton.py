@@ -22,8 +22,9 @@ with (v0,v1) the section pair of v.  Since all generators are
 involutions, rev(v0) is the inverse of v0, so the sections of the
 emitted output times the remaining buffer always equal the consumed
 input.  The parser, the runner and the builder's chunk and pad edges
-step buffers by this rule; the builder's emissions reach the same
-buffers by element products, mul(cand.left, e0).  The verifier checks
+step buffers by this rule; the builder prices an emission's buffers by
+their inverses, the element products rev(u0) * v0 and rev(u1) * v1,
+and spells only the winner's.  The verifier checks
 the rule on every transition: chunk edges, output edges and the pad
 edges of specials.  A buffer pair may equally be stored with its
 components swapped; the verifier and the runner accept either
@@ -44,11 +45,12 @@ from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .elements import segment_element
 from .minforms import (MinimalForms, SCALE, Weight, format_weights,
                        parse_weights, word_weight)
-from .words import (check_word, free_reduce, in_B, in_H,
+from .words import (LETTERS, check_word, free_reduce, in_B, in_H,
                     pair_in_section_image, psi, psi_preimage_basic, rev,
                     segment_sections, segments, spell)
 
@@ -88,11 +90,25 @@ class Transition:
     output: str | None = None     # output label
     special: bool = False
 
+    @cached_property
+    def letters(self) -> tuple[tuple[int, ...], ...]:
+        """Letter counts, a b c d, of the two read words and the output."""
+        return tuple(tuple(word.count(ch) for ch in LETTERS)
+                     for word in (*self.reads, self.output or ""))
+
+    def weighs(self, w: Weight) -> tuple[int, int, int]:
+        """Scaled weights of the two read words and the output."""
+        wa, wb, wc, wd = w["a"], w["b"], w["c"], w["d"]
+        (a0, b0, c0, d0), (a1, b1, c1, d1), (a2, b2, c2, d2) = self.letters
+        return (a0 * wa + b0 * wb + c0 * wc + d0 * wd,
+                a1 * wa + b1 * wb + c1 * wc + d1 * wd,
+                a2 * wa + b2 * wb + c2 * wc + d2 * wd)
+
     def consumed(self, w: Weight) -> tuple[int, int]:
-        return word_weight(self.reads[0], w), word_weight(self.reads[1], w)
+        return self.weighs(w)[:2]
 
     def emitted(self, w: Weight) -> int:
-        return word_weight(self.output, w) if self.output is not None else 0
+        return self.weighs(w)[2]
 
 
 @dataclass
@@ -595,8 +611,7 @@ def _cycle_ratio(graph: TransducerGraph, weights: Weight) -> CycleReport:
     transitions are left out: no certified number depends on them."""
     index = {b: i for i, b in enumerate(graph.states)}
     kept = [t for t in graph.transitions.values() if not t.special]
-    edges = [(index[t.src], index[t.dst], *t.consumed(weights),
-              t.emitted(weights)) for t in kept]
+    edges = [(index[t.src], index[t.dst], *t.weighs(weights)) for t in kept]
     eta, cycle, dist = _dinkelbach(len(graph.states), edges)
     i0, i1, out = (sum(edges[ei][k] for ei in cycle) for k in (2, 3, 4))
     return CycleReport(eta, [kept[ei] for ei in cycle], dist, i0 / SCALE,

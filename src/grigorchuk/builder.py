@@ -23,10 +23,9 @@ from collections import deque
 from dataclasses import dataclass
 
 from .automaton import CHUNK_PAIRS, START, Buffer, Transition, TransducerGraph
-from .elements import Element, element_of, mul, segment_element
+from .elements import Element, element_of, mul
 from .minforms import MinimalForms, SCALE, Weight, check_weights, word_weight
-from .words import (in_B, in_H, psi_preimage_basic, rev, segment_sections,
-                    segments)
+from .words import in_B, psi_preimage_basic, rev
 
 # specials are the nonempty canonical forms in B of at most this many letters
 SPECIAL_LEN = 8
@@ -50,6 +49,8 @@ class BuildParams:
             raise ValueError("eta_prime must lie in (2, 4]")
         if self.max_len < 4:
             raise ValueError("max_len must be at least 4")
+        if self.budget < 1:
+            raise ValueError("budget must be at least 1")
 
 
 def _score(in0: int, in1: int, out0: int, out1: int, v_weight: int,
@@ -64,8 +65,7 @@ def _score(in0: int, in1: int, out0: int, out1: int, v_weight: int,
 
 @dataclass
 class _Candidate:
-    """An output word v, its weight, the inverses of its two sections and
-    their form weights."""
+    """An output word, its weight, its two sections and their weights."""
     word: str
     weight: int
     left: Element
@@ -75,19 +75,14 @@ class _Candidate:
 
 
 def _candidates(forms: MinimalForms, max_len: int) -> list[_Candidate]:
-    # the sections of rev(v) are the inverses of v's sections; their
-    # elements are read off the segment forms, not spelled words, and
-    # weigh no more than the radius enumerate_forms settles
-    out = []
+    # a form is in H exactly when its element's swap (the a-parity) is 0;
+    # its sections are the element's children, settled within the radius
+    forms.settle_lengths(max_len)
     form_weight = forms.form_weight
-    for v in forms.enumerate_forms(max_len, in_H):
-        if not v:
-            continue
-        _, s0, s1 = segment_sections(segments(rev(v)))
-        left, right = segment_element(s0), segment_element(s1)
-        out.append(_Candidate(v, word_weight(v, forms.weights), left, right,
-                              form_weight[left], form_weight[right]))
-    return out
+    return [_Candidate(v, form_weight[e], e.left, e.right,
+                       form_weight[e.left], form_weight[e.right])
+            for e, v in forms.table.items()
+            if v and e.swap == 0 and len(v) <= max_len]
 
 
 def build(params: BuildParams, log: list[str] | None = None) -> TransducerGraph:
@@ -117,10 +112,14 @@ def build(params: BuildParams, log: list[str] | None = None) -> TransducerGraph:
 
     def best_output(buf: Buffer) -> tuple[_Candidate, Buffer, float] | None:
         # The highest quality wins, first found on ties, so rebuilds from
-        # equal parameters are byte-identical; a remainder counts only if
-        # it is settled.  The first candidate scanned settles the forms up
-        # to the buffer's weight plus one, so a scan cut off at once
-        # settles nothing.
+        # equal parameters are byte-identical.  The first candidate scanned
+        # settles the forms up to the buffer's weight plus one, so a scan
+        # cut off at once settles nothing.
+        #
+        # Emitting v leaves the remainders rev(vi) + ui, which count only if
+        # settled.  The scan prices their inverses rev(ui) * vi instead: all
+        # generators are involutions, so the two weigh the same, and extend
+        # settles whole balls, so both or neither are settled.
         #
         # A candidate wins when its quality q exceeds one running floor,
         # which starts at threshold - 1e-12 and becomes q + 1e-12 at each
@@ -129,14 +128,13 @@ def build(params: BuildParams, log: list[str] | None = None) -> TransducerGraph:
         # >= 0, so q <= total/W + bonus at weight W; that bound falls along
         # the weight-sorted scan, so its first failure ends the scan.  The
         # triangle inequality gives remainder weights o0 >= |w0 - a0| and
-        # o1 >= |w1 - a1|, with a0, a1 the weights of v's section inverses,
-        # so q <= (total - |w0-a0| - |w1-a1|)/W + bonus skips a candidate.
+        # o1 >= |w1 - a1|, with a0, a1 the weights of v's sections, so
+        # q <= (total - |w0-a0| - |w1-a1|)/W + bonus skips a candidate.
         # Both numerators are exact integers and IEEE division and
         # addition are monotone, so the float bounds are safe.
         nonlocal scanned
-        e0, e1 = element_of(buf[0]), element_of(buf[1])
-        w0 = word_weight(buf[0], weights)
-        w1 = word_weight(buf[1], weights)
+        e0, e1 = element_of(rev(buf[0])), element_of(rev(buf[1]))
+        w0, w1 = word_weight(buf[0], weights), word_weight(buf[1], weights)
         total = w0 + w1
         bonus = delta * abs(w0 - w1) / SCALE
         floor = threshold - 1e-12
@@ -150,22 +148,26 @@ def build(params: BuildParams, log: list[str] | None = None) -> TransducerGraph:
             if (total - abs(w0 - a0) - abs(w1 - a1)) / cand.weight + bonus \
                     <= floor:
                 continue  # the triangle bound rules it out
-            r0 = mul(cand.left, e0)
+            r0 = mul(e0, cand.left)
             o0 = form_weight.get(r0)
             if o0 is None:
                 continue
-            r1 = mul(cand.right, e1)
+            r1 = mul(e1, cand.right)
             o1 = form_weight.get(r1)
             if o1 is None:
                 continue
             q = _score(w0, w1, o0, o1, cand.weight, delta)
             if q > floor:
-                best = (cand, (forms.table[r0], forms.table[r1]), q)
+                best = (cand, r0, r1, q)
                 floor = q + 1e-12
         else:
             i = len(candidates)  # no cut fired: all were scanned
         scanned += i
-        return best
+        if best is None:
+            return None
+        cand, r0, r1, q = best
+        return cand, (forms.minimal_form(rev(forms.table[r0])),
+                      forms.minimal_form(rev(forms.table[r1]))), q
 
     # Chunk successors must be materialized under their exact buffer (the
     # file format recomputes them on reparse), so only successors of

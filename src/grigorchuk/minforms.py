@@ -247,18 +247,25 @@ class MinimalForms:
         """Scaled weight of the element represented by ``word``."""
         return self.form_weight[self.settled(word)]
 
+    def settle_lengths(self, max_len: int) -> None:
+        """Settle every canonical form of at most max_len letters.
+
+        Canonical forms alternate the letter a with letters from {b, c, d},
+        so a form of <= max_len letters holds floor(max_len/2) of each kind,
+        plus one of either kind when max_len is odd; settling up to the
+        heaviest such weight finds them all.
+        """
+        heavy, a = max(self.weights[x] for x in "bcd"), self.weights["a"]
+        self.extend(max_len // 2 * (heavy + a) + max_len % 2 * max(heavy, a))
+
     def enumerate_forms(self, max_len: int,
                         predicate: Callable[[str], bool] | None = None
                         ) -> list[str]:
         """All canonical forms of length <= max_len satisfying the predicate.
 
-        Canonical forms alternate the letter a with letters from {b, c, d},
-        so a form of <= max_len letters holds floor(max_len/2) of each kind,
-        plus one of either kind when max_len is odd; settling up to the
-        heaviest such weight finds them all.  Forms settle in priority order
-        (weight, length, letter order), so the result is in that order too.
+        Forms settle in priority order (weight, length, letter order), so
+        the result is in that order too.
         """
-        heavy, a = max(self.weights[x] for x in "bcd"), self.weights["a"]
-        self.extend(max_len // 2 * (heavy + a) + max_len % 2 * max(heavy, a))
+        self.settle_lengths(max_len)
         return [w for w in self.table.values()
                 if len(w) <= max_len and (predicate is None or predicate(w))]

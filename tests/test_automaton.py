@@ -31,7 +31,8 @@ from grigorchuk import (
 )
 from grigorchuk.automaton import (CHUNK_PAIRS, START, Transition,
                                   TransducerGraph, _dinkelbach)
-from grigorchuk.minforms import SCALE, UNIT_WEIGHTS, parse_weights, word_weight
+from grigorchuk.minforms import (SCALE, UNIT_WEIGHTS, is_triangular,
+                                 parse_weights, word_weight)
 from grigorchuk.words import in_H
 
 from conftest import replay_certificate
@@ -569,6 +570,23 @@ class TestCycleRatio:
     def test_fixture_eta_unit_weights(self, fixture_graph):
         ratio, _ = max_cycle_ratio(fixture_graph, dict(UNIT_WEIGHTS))
         assert ratio == pytest.approx(4.5, abs=1e-9)
+
+    def test_letter_counts_weigh_like_words(self, fixture_graph):
+        # the engine weighs each transition by its letter counts, taken
+        # once; they must give word_weight of its words at any weights
+        rng = random.Random(29)
+        tried = 0
+        while tried < 20:
+            w = {ch: rng.randint(1, 60_000) for ch in "abcd"}
+            if not is_triangular(w):
+                continue
+            tried += 1
+            for t in fixture_graph.transitions.values():
+                words = (*t.reads, t.output or "")
+                assert t.weighs(w) == tuple(word_weight(x, w) for x in words)
+                assert t.consumed(w) == (word_weight(t.reads[0], w),
+                                         word_weight(t.reads[1], w))
+                assert t.emitted(w) == word_weight(t.output or "", w)
 
     def test_first_loop_ratio(self, fixture_graph):
         assert first_loop_ratio(fixture_graph) == pytest.approx(

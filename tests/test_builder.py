@@ -20,10 +20,12 @@ from grigorchuk import (
     verify_graph,
     words_equal,
 )
+from grigorchuk import elements
 from grigorchuk.builder import _candidates, _score
+from grigorchuk.elements import ATOMS, cache_sizes, segment_element
 from grigorchuk.minforms import (SCALE, UNIT_WEIGHTS, MinimalForms,
                                  parse_weights, word_weight)
-from grigorchuk.words import in_H, rev
+from grigorchuk.words import in_H, segment_sections, segments
 
 from conftest import replay_certificate
 
@@ -85,6 +87,12 @@ class TestParams:
         # an infinite delta makes the bonus of a balanced buffer inf*0 = nan
         with pytest.raises(ValueError, match="delta"):
             BuildParams(initial_weight=VALLEY, delta=delta).validate()
+
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_budget_at_least_one(self, budget):
+        with pytest.raises(ValueError, match="budget must be at least 1"):
+            BuildParams(initial_weight=VALLEY, budget=budget).validate()
+        BuildParams(initial_weight=VALLEY, budget=1).validate()
 
     def test_triangular_weights_required(self):
         lopsided = {"a": 10000, "b": 10000, "c": 10000, "d": 30001}
@@ -154,15 +162,42 @@ class TestBuild:
         assert weights == sorted(weights)
 
     def test_candidate_sections(self):
-        # each candidate holds the inverses of its word's sections, and
-        # their form weights for the scan's triangle bound
+        # each candidate holds its word's sections, read off the element
+        # tree, and their form weights for the scan's triangle bound; the
+        # segment-form sections are the independent string reference
         forms = MinimalForms(VALLEY)
         for cand in _candidates(forms, 12):
+            _, s0, s1 = segment_sections(segments(cand.word))
+            assert cand.left is segment_element(s0)
+            assert cand.right is segment_element(s1)
             v0, v1 = psi(cand.word)
-            assert cand.left is element_of(rev(v0))
-            assert cand.right is element_of(rev(v1))
+            assert cand.left is element_of(v0)
+            assert cand.right is element_of(v1)
             assert cand.left_weight == forms.element_weight(v0)
             assert cand.right_weight == forms.element_weight(v1)
+
+    def test_candidate_words(self):
+        # the candidates are the nonempty forms in H, in settle order, each
+        # weighed as its word
+        forms = MinimalForms(VALLEY)
+        candidates = _candidates(forms, 12)
+        assert [c.word for c in candidates] \
+            == [v for v in forms.enumerate_forms(12, in_H) if v]
+        assert len(candidates) == 862
+        for cand in candidates:
+            assert in_H(cand.word)
+            assert cand.weight == word_weight(cand.word, VALLEY)
+
+    def test_candidates_build_no_segment_elements(self, monkeypatch):
+        # candidates are read off the settled tree: no word is turned into
+        # an element, so a segment-form cache cut back to its seeds (the
+        # words of at most one letter) stays that way
+        monkeypatch.setattr(elements, "_ELEMENT",
+                            {segments(w): e for w, e in ATOMS.items()})
+        forms = MinimalForms(VALLEY)
+        before = cache_sizes()["elements"]
+        assert _candidates(forms, 12)
+        assert cache_sizes()["elements"] == before == 5
 
     # sha256 of serialize_graph(build(...)) as a full, uncut scan gives it,
     # with the log's state count and candidates scanned; a cut or a skip

@@ -296,6 +296,17 @@ class TestBuildOptimize:
         assert rc == 1
         assert "budget exceeded" in err
 
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_build_rejects_budget_below_one(self, capsys, tmp_path, budget):
+        # rejected before any candidate is settled, not as an exhausted
+        # budget after the candidate table is built
+        rc, out, err = run(capsys, "build", "--weights",
+                           "a=1,b=2.7,c=2.0,d=1.3", "--budget", budget,
+                           "--out", str(tmp_path / "x.graph"))
+        assert (rc, out) == (1, "")
+        assert err == "error: budget must be at least 1\n"
+        assert not (tmp_path / "x.graph").exists()
+
     def test_build_rejects_infinite_delta(self, capsys, tmp_path):
         rc, out, err = run(capsys, "build", "--weights",
                            "a=1,b=2.7,c=2.0,d=1.3", "--delta", "inf",
