@@ -21,14 +21,14 @@ reaches the minimal forms of
 with (v0,v1) the section pair of v.  Since all generators are
 involutions, rev(v0) is the inverse of v0, so the sections of the
 emitted output times the remaining buffer always equal the consumed
-input.  The parser, the runner and the builder's chunk and pad edges
-step buffers by this rule; the builder prices an emission's buffers by
-their inverses, the element products rev(u0) * v0 and rev(u1) * v1,
-and spells only the winner's.  The verifier checks
-the rule on every transition: chunk edges, output edges and the pad
-edges of specials.  A buffer pair may equally be stored with its
-components swapped; the verifier and the runner accept either
-orientation, and the runner derives the swap from the state it is in.
+input.  The parser, the runner and the builder step every buffer they
+reach, by chunk, emission or pad, by this rule; only the builder's
+pricing of candidate emissions uses the inverse products rev(u0) * v0
+and rev(u1) * v1 instead.  The verifier checks the rule on every
+transition: chunk edges, output edges and the pad edges of specials.
+A buffer pair may equally be stored with its components swapped; the
+verifier and the runner accept either orientation, and the runner
+derives the swap from the state it is in.
 
 Cycle analysis bounds the output weight of arbitrarily long runs: the
 maximal ratio 2*out/(in0+in1) over directed cycles is the certified

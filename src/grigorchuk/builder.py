@@ -63,24 +63,17 @@ def _score(in0: int, in1: int, out0: int, out1: int, v_weight: int,
         + delta * (abs(in0 - in1) - abs(out0 - out1)) / SCALE
 
 
-@dataclass
-class _Candidate:
-    """An output word, its weight, its two sections and their weights."""
-    word: str
-    weight: int
-    left: Element
-    right: Element
-    left_weight: int
-    right_weight: int
-
-
-def _candidates(forms: MinimalForms, max_len: int) -> list[_Candidate]:
-    # a form is in H exactly when its element's swap (the a-parity) is 0;
-    # its sections are the element's children, settled within the radius
+def _candidates(forms: MinimalForms, max_len: int
+                ) -> list[tuple[Element, int, int, int]]:
+    """The output candidates, in settle order (so by weight): one
+    (element, weight, left_weight, right_weight) tuple per nonempty
+    canonical form in H of at most max_len letters.  A form is in H
+    exactly when its element's swap (the a-parity) is 0; its sections
+    are the element's children, settled within the radius, and the three
+    weights are those of the form and of its sections."""
     forms.settle_lengths(max_len)
     form_weight = forms.form_weight
-    return [_Candidate(v, form_weight[e], e.left, e.right,
-                       form_weight[e.left], form_weight[e.right])
+    return [(e, form_weight[e], form_weight[e.left], form_weight[e.right])
             for e, v in forms.table.items()
             if v and e.swap == 0 and len(v) <= max_len]
 
@@ -110,7 +103,7 @@ def build(params: BuildParams, log: list[str] | None = None) -> TransducerGraph:
     form_weight = forms.form_weight
     scanned = 0
 
-    def best_output(buf: Buffer) -> tuple[_Candidate, Buffer, float] | None:
+    def best_output(buf: Buffer) -> tuple[Element, float] | None:
         # The highest quality wins, first found on ties, so rebuilds from
         # equal parameters are byte-identical.  The first candidate scanned
         # settles the forms up to the buffer's weight plus one, so a scan
@@ -119,7 +112,8 @@ def build(params: BuildParams, log: list[str] | None = None) -> TransducerGraph:
         # Emitting v leaves the remainders rev(vi) + ui, which count only if
         # settled.  The scan prices their inverses rev(ui) * vi instead: all
         # generators are involutions, so the two weigh the same, and extend
-        # settles whole balls, so both or neither are settled.
+        # settles whole balls, so both or neither are settled.  The winner's
+        # remainders are then spelled by graph.successor, like every edge's.
         #
         # A candidate wins when its quality q exceeds one running floor,
         # which starts at threshold - 1e-12 and becomes q + 1e-12 at each
@@ -139,35 +133,28 @@ def build(params: BuildParams, log: list[str] | None = None) -> TransducerGraph:
         bonus = delta * abs(w0 - w1) / SCALE
         floor = threshold - 1e-12
         best = None
-        for i, cand in enumerate(candidates):
-            if total / cand.weight + bonus <= floor:
+        for i, (cand, weight, a0, a1) in enumerate(candidates):
+            if total / weight + bonus <= floor:
                 break  # no later candidate can win
             if i == 0:
                 forms.extend(total + SCALE)
-            a0, a1 = cand.left_weight, cand.right_weight
-            if (total - abs(w0 - a0) - abs(w1 - a1)) / cand.weight + bonus \
+            if (total - abs(w0 - a0) - abs(w1 - a1)) / weight + bonus \
                     <= floor:
                 continue  # the triangle bound rules it out
-            r0 = mul(e0, cand.left)
-            o0 = form_weight.get(r0)
+            o0 = form_weight.get(mul(e0, cand.left))
             if o0 is None:
                 continue
-            r1 = mul(e1, cand.right)
-            o1 = form_weight.get(r1)
+            o1 = form_weight.get(mul(e1, cand.right))
             if o1 is None:
                 continue
-            q = _score(w0, w1, o0, o1, cand.weight, delta)
+            q = _score(w0, w1, o0, o1, weight, delta)
             if q > floor:
-                best = (cand, r0, r1, q)
+                best = (cand, q)
                 floor = q + 1e-12
         else:
             i = len(candidates)  # no cut fired: all were scanned
         scanned += i
-        if best is None:
-            return None
-        cand, r0, r1, q = best
-        return cand, (forms.minimal_form(rev(forms.table[r0])),
-                      forms.minimal_form(rev(forms.table[r1]))), q
+        return best
 
     # Chunk successors must be materialized under their exact buffer (the
     # file format recomputes them on reparse), so only successors of
@@ -197,15 +184,17 @@ def build(params: BuildParams, log: list[str] | None = None) -> TransducerGraph:
             raise RuntimeError("budget exceeded")
         choice = best_output(buf)
         if choice is not None:
-            cand, succ, q = choice
+            e, q = choice
+            word = forms.table[e]
+            succ = graph.successor(buf, emitted=word)
             graph.add_state(buf, "output")
             dst = succ if succ in chunk_targets else (graph.resolve(succ) or succ)
-            out = Transition(buf, dst, output=cand.word)
+            out = Transition(buf, dst, output=word)
             graph.add_transition(out)
             if dst == succ:
                 waiting.setdefault(succ, []).append(out)
                 queue.append(succ)
-            log.append(f"output {buf} emits {cand.word} (q={q:.3f})")
+            log.append(f"output {buf} emits {word} (q={q:.3f})")
         else:
             graph.add_state(buf, "input")
             expand(buf)

@@ -436,6 +436,19 @@ class TestVerification:
         assert len(report.violations) == 1
         assert "acacacad" in report.violations[0]
 
+    def test_noncanonical_label_noted(self, fixture_text):
+        # cacacaca is acacacac's element at the same weight, so it reaches
+        # the same buffer and verifies; only its spelling is noted
+        respelled = fixture_text.replace(
+            "edge (da,da) in (da,da) out acacacac -> (-,-)",
+            "edge (da,da) in (da,da) out cacacaca -> (-,-)")
+        assert respelled != fixture_text
+        report = verify_graph(parse_graph(respelled))
+        assert report.ok
+        assert report.notes == [
+            "output 'cacacaca' at (adad,adad) is minimal-weight but not the "
+            "canonical spelling"]
+
     def test_pad_successor_checked(self):
         # the pad edge must reach its middle buffer (-,b); aimed at another
         # declared output state, it is the one violation naming the pad

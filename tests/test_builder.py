@@ -158,35 +158,36 @@ class TestBuild:
 
     def test_candidates_weight_sorted(self):
         # both cuts in best_output stop the scan on this order
-        weights = [c.weight for c in _candidates(MinimalForms(VALLEY), 12)]
+        weights = [w for _, w, _, _ in _candidates(MinimalForms(VALLEY), 12)]
         assert weights == sorted(weights)
 
     def test_candidate_sections(self):
-        # each candidate holds its word's sections, read off the element
-        # tree, and their form weights for the scan's triangle bound; the
-        # segment-form sections are the independent string reference
+        # each candidate's element has its word's sections as children, and
+        # the tuple holds their form weights for the scan's triangle bound;
+        # the segment-form sections are the independent string reference
         forms = MinimalForms(VALLEY)
-        for cand in _candidates(forms, 12):
-            _, s0, s1 = segment_sections(segments(cand.word))
-            assert cand.left is segment_element(s0)
-            assert cand.right is segment_element(s1)
-            v0, v1 = psi(cand.word)
-            assert cand.left is element_of(v0)
-            assert cand.right is element_of(v1)
-            assert cand.left_weight == forms.element_weight(v0)
-            assert cand.right_weight == forms.element_weight(v1)
+        for e, _, left_weight, right_weight in _candidates(forms, 12):
+            word = forms.table[e]
+            _, s0, s1 = segment_sections(segments(word))
+            assert e.left is segment_element(s0)
+            assert e.right is segment_element(s1)
+            v0, v1 = psi(word)
+            assert e.left is element_of(v0)
+            assert e.right is element_of(v1)
+            assert left_weight == forms.element_weight(v0)
+            assert right_weight == forms.element_weight(v1)
 
     def test_candidate_words(self):
         # the candidates are the nonempty forms in H, in settle order, each
         # weighed as its word
         forms = MinimalForms(VALLEY)
         candidates = _candidates(forms, 12)
-        assert [c.word for c in candidates] \
-            == [v for v in forms.enumerate_forms(12, in_H) if v]
+        words = [forms.table[e] for e, _, _, _ in candidates]
+        assert words == [v for v in forms.enumerate_forms(12, in_H) if v]
         assert len(candidates) == 862
-        for cand in candidates:
-            assert in_H(cand.word)
-            assert cand.weight == word_weight(cand.word, VALLEY)
+        for word, (_, weight, _, _) in zip(words, candidates):
+            assert in_H(word)
+            assert weight == word_weight(word, VALLEY)
 
     def test_candidates_build_no_segment_elements(self, monkeypatch):
         # candidates are read off the settled tree: no word is turned into
@@ -244,8 +245,10 @@ class TestBuild:
         # reads them from
         assert all(t.src == ("", "") for t in graph.transitions.values()
                    if t.special and t.output is None)
+        # the machine verifies clean, every label canonically spelled, and
         # the file verifies as the machine it was written from
         built, reparsed = verify_graph(graph), verify_graph(parse_graph(text))
+        assert built.ok and built.notes == []
         assert (reparsed.ok, reparsed.violations, reparsed.swapped_successors) \
             == (built.ok, built.violations, built.swapped_successors)
         # and its eta comes with a certificate that replays

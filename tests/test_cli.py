@@ -10,6 +10,7 @@ from grigorchuk import (BuildParams, OptimizerSchedule, parse_graph,
                         verify_graph)
 from grigorchuk.automaton import buffer_text
 from grigorchuk.cli import _parser, main
+from grigorchuk.growth import SubgroupGrowthCheck
 from grigorchuk.minforms import SCALE, parse_weights
 
 from conftest import FIXTURE_PATH, replay_potentials
@@ -116,6 +117,16 @@ class TestGrowthCommands:
                                        ("2", 5, 8, 23)]]
         assert json.loads(out) == {"checks": rows}
 
+    def test_check_sbgp_failure(self, capsys, monkeypatch):
+        # a row outside its sandwich prints FAIL and exits 1
+        monkeypatch.setattr(
+            "grigorchuk.cli.check_subgroup_growth",
+            lambda *args: [SubgroupGrowthCheck(SCALE, 1, 12, 11)])
+        rc, out, err = run(capsys, "check-sbgp", "--max-radius", "1")
+        assert rc == 1
+        assert out == "radius 1: 1 <= 12 <= 11 FAIL\n"
+        assert err == "error: subgroup growth sandwich failed\n"
+
     @pytest.mark.parametrize("command", ["growth", "check-sbgp"])
     def test_negative_max_radius_rejected(self, capsys, command):
         rc, out, err = run(capsys, command, "--max-radius", "-1")
@@ -191,6 +202,19 @@ class TestGraphCommands:
         assert rc == 1
         assert "graph verification failed" in err
         assert "violations: 1" in out
+
+    def test_verify_graph_prints_note(self, capsys, tmp_path):
+        # a minimal-weight label in another spelling is noted, not refused
+        respelled = FIXTURE_PATH.read_text().replace(
+            "out acacacac -> (-,-)", "out cacacaca -> (-,-)", 1)
+        target = tmp_path / "respelled.graph"
+        target.write_text(respelled)
+        rc, out, err = run(capsys, "verify-graph", str(target))
+        assert (rc, err) == (0, "")
+        assert out.splitlines()[-2:] == [
+            "note: output 'cacacaca' at (adad,adad) is minimal-weight but "
+            "not the canonical spelling",
+            "violations: 0"]
 
     def test_verify_graph_rejects_moved_start(self, capsys, tmp_path):
         # runs start at (-,-); flagged elsewhere, the file is refused where
