@@ -45,7 +45,6 @@ from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 from .elements import segment_element
 from .minforms import (MinimalForms, SCALE, Weight, format_weights,
@@ -90,16 +89,21 @@ class Transition:
     output: str | None = None     # output label
     special: bool = False
 
-    @cached_property
-    def letters(self) -> tuple[tuple[int, ...], ...]:
-        """Letter counts, a b c d, of the two read words and the output."""
-        return tuple(tuple(word.count(ch) for ch in LETTERS)
-                     for word in (*self.reads, self.output or ""))
+    # the (reads, output) whose letter counts, a b c d per word, are
+    # _letters; class defaults, not dataclass fields
+    _counted = None
+    _letters = ()
 
     def weighs(self, w: Weight) -> tuple[int, int, int]:
-        """Scaled weights of the two read words and the output."""
+        """Scaled weights of the two read words and the output, dotted from
+        their letter counts, which are taken again whenever a word changes."""
+        words = (self.reads, self.output)
+        if words != self._counted:
+            self._counted = words
+            self._letters = tuple(tuple(word.count(ch) for ch in LETTERS)
+                                  for word in (*self.reads, self.output or ""))
         wa, wb, wc, wd = w["a"], w["b"], w["c"], w["d"]
-        (a0, b0, c0, d0), (a1, b1, c1, d1), (a2, b2, c2, d2) = self.letters
+        (a0, b0, c0, d0), (a1, b1, c1, d1), (a2, b2, c2, d2) = self._letters
         return (a0 * wa + b0 * wb + c0 * wc + d0 * wd,
                 a1 * wa + b1 * wb + c1 * wc + d1 * wd,
                 a2 * wa + b2 * wb + c2 * wc + d2 * wd)
@@ -114,14 +118,14 @@ class Transition:
 @dataclass
 class CycleReport:
     """The exact maximal cycle ratio ``eta``, a ``cycle`` attaining it
-    (with its weights in weight units) and integer ``potentials``, one per
-    state in ``graph.states`` order: at eta = p/q, in 1e-4 weight units,
-    2q*out - p*(in0+in1) + pi(src) - pi(dst) <= 0 on every non-special
-    transition, so no cycle exceeds eta."""
+    (with its weights in weight units) and integer ``potentials``, keyed
+    by state buffer in ``graph.states`` order: at eta = p/q, in 1e-4
+    weight units, 2q*out - p*(in0+in1) + pi(src) - pi(dst) <= 0 on every
+    non-special transition, so no cycle exceeds eta."""
 
     eta: Fraction
     cycle: list[Transition]
-    potentials: list[int]
+    potentials: dict[Buffer, int]
     in_weight0: float
     in_weight1: float
     out_weight: float
@@ -131,7 +135,7 @@ class CycleReport:
         """Largest accumulated 2*out - eta*(in0+in1) over walks, halved,
         in weight units: how far any run's output can exceed eta/2 times
         its consumed weight."""
-        return max(self.potentials) / (2 * self.eta.denominator * SCALE)
+        return max(self.potentials.values()) / (2 * self.eta.denominator * SCALE)
 
 
 @dataclass
@@ -196,15 +200,6 @@ class TransducerGraph:
         default, the output transition of src."""
         return self.transitions.get((src, reads))
 
-    def resolve(self, buffer: Buffer) -> Buffer | None:
-        """Find a stored state for the buffer, directly or swapped."""
-        if buffer in self.states:
-            return buffer
-        swapped = (buffer[1], buffer[0])
-        if swapped in self.states:
-            return swapped
-        return None
-
     def successor(self, src: Buffer, consumed: Buffer = ("", ""),
                   emitted: str = "") -> Buffer:
         """The buffer reached from src by reading consumed and writing
@@ -245,9 +240,14 @@ def _numbered(lineno: int) -> Iterator[None]:
 
 
 def _read_transition(graph: TransducerGraph, tokens: list[str]
-                     ) -> tuple[Buffer, Transition | None, str | None, Buffer]:
-    """A transition line's source, consuming step (a chunk or pad
-    transition, aimed at the target until laid down), output and target."""
+                     ) -> list[tuple[Buffer, Buffer]]:
+    """Lay down a transition line's transitions, aimed at its target as
+    written, and return their keys.  A line that reads and emits passes
+    through its middle buffer, created here unless declared above as an
+    output state.  Each output state gets one output transition; a line
+    that repeats it (a special whose buffer an edge already emits from,
+    say) adds none, and the output is special only if every line giving
+    it is, whatever the order."""
     directive = tokens[0]
     if "->" not in tokens:
         raise GraphFormatError("missing '->'")
@@ -280,7 +280,34 @@ def _read_transition(graph: TransducerGraph, tokens: list[str]
     if directive == "special" and src != START:
         raise GraphFormatError(f"special source {buffer_text(src)} is not "
                                f"the empty buffer {buffer_text(START)}")
-    return src, step, output, target
+    keys = []
+    state = src
+    if step is not None:
+        if output is not None:
+            # implicit output vertices are keyed by their exact buffer;
+            # a swapped pair is a different vertex with its own label
+            state = step.dst = graph.successor(src, step.reads)
+            if state not in graph.states:
+                graph.add_state(state, "output")
+            elif graph.states[state] != "output":
+                raise GraphFormatError(f"middle buffer {buffer_text(state)} "
+                                       f"is a declared input state")
+        graph.add_transition(step)
+        keys.append((src, step.reads))
+    if output is not None:
+        special = step is not None and step.special
+        prior = graph.edge(state)
+        if prior is None:
+            graph.add_transition(
+                Transition(state, target, output=output, special=special))
+            keys.append((state, ("", "")))
+        elif (prior.output, prior.dst) != (output, target):
+            raise GraphFormatError(
+                f"duplicate state {buffer_text(state)} with conflicting "
+                f"output transitions")
+        elif not special:
+            prior.special = False
+    return keys
 
 
 def parse_graph(text: str) -> TransducerGraph:
@@ -289,14 +316,15 @@ def parse_graph(text: str) -> TransducerGraph:
     Structural requirements enforced here: a weights line first, unique
     state declarations, canonical buffer words, START as the one flagged
     state, nine chunk successors per input state, no chunk or pad read
-    twice from one state, transition lines shaped as GRAMMAR says,
-    specials only at START, and resolvable transition endpoints (a
-    successor may be stored with swapped components).  A bad line raises
-    GraphFormatError naming it, whatever the cause: bad words, repeated
-    transitions, non-triangular weights.
+    twice from one state, transition lines shaped as GRAMMAR says and
+    below their source's state line, specials only at START, and every
+    target a state exactly as declared or created, by any line.  A bad
+    line raises GraphFormatError naming it, whatever the cause: bad
+    words, repeated transitions, non-triangular weights.
     """
     graph: TransducerGraph | None = None
-    pending: list[tuple[int, list[str]]] = []
+    # the line that laid down each transition, for the target sweep
+    line_of: dict[tuple[Buffer, Buffer], int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split("#", 1)[0].split()
         if not tokens:
@@ -327,64 +355,27 @@ def parse_graph(text: str) -> TransducerGraph:
                     if graph.forms.minimal_form(comp) != comp:
                         raise GraphFormatError(f"non-minimal buffer word {comp!r}")
             elif directive in GRAMMAR:
-                pending.append((lineno, tokens))
+                for key in _read_transition(graph, tokens):
+                    line_of[key] = lineno
             else:
                 raise GraphFormatError(f"unknown directive {directive!r}")
     if graph is None or START not in graph.states:
         raise GraphFormatError("no initial state")
 
-    # First pass: read every transition line and materialize the implicit
-    # output state of each line that consumes and emits, so later lines
-    # can reference it as a successor.
-    parsed = []
-    for lineno, tokens in pending:
-        with _numbered(lineno):
-            src, step, output, target = _read_transition(graph, tokens)
-            state = src
-            if step is not None and output is not None:
-                # implicit output vertices are keyed by their exact buffer;
-                # a swapped pair is a different vertex with its own label
-                state = step.dst = graph.successor(src, step.reads)
-                if state not in graph.states:
-                    graph.add_state(state, "output")
-                elif graph.states[state] != "output":
-                    raise GraphFormatError(f"middle buffer {buffer_text(state)} "
-                                           f"is a declared input state")
-            parsed.append((lineno, step, state, output, target))
-
-    # Second pass: resolve targets and lay down transitions.  Each output
-    # state gets one output transition; a line that repeats it (a special
-    # whose buffer an edge already emits from, say) adds none.  The output
-    # is special only if every line giving it is, whatever the order.
-    for lineno, step, state, output, target in parsed:
-        with _numbered(lineno):
-            dst = graph.resolve(target)
-            if dst is None:
-                raise GraphFormatError(f"dangling endpoint {buffer_text(target)}")
-            if step is not None:
-                if output is None:
-                    # a chunk reaches an output state only as its middle
-                    # buffer, the one way the serialization can write it
-                    if graph.states[dst] == "output" and dst != (
-                            mid := graph.successor(state, step.reads)):
-                        raise GraphFormatError(
-                            f"edge reaches output state {buffer_text(dst)}, "
-                            f"not its middle buffer {buffer_text(mid)}")
-                    step.dst = dst
-                graph.add_transition(step)
-            if output is None:
-                continue
-            special = step is not None and step.special
-            prior = graph.edge(state)
-            if prior is None:
-                graph.add_transition(
-                    Transition(state, dst, output=output, special=special))
-            elif (prior.output, prior.dst) != (output, dst):
+    # Targets may name states that later lines create, so they are
+    # checked once every line is in.
+    for key, t in graph.transitions.items():
+        with _numbered(line_of[key]):
+            kind = graph.states.get(t.dst)
+            if kind is None:
+                raise GraphFormatError(f"dangling endpoint {buffer_text(t.dst)}")
+            # a chunk reaches an output state only as its middle buffer,
+            # the one way the serialization can write it
+            if t.reads[0] and kind == "output" and t.dst != (
+                    mid := graph.successor(t.src, t.reads)):
                 raise GraphFormatError(
-                    f"duplicate state {buffer_text(state)} with conflicting "
-                    f"output transitions")
-            elif not special:
-                prior.special = False
+                    f"edge reaches output state {buffer_text(t.dst)}, "
+                    f"not its middle buffer {buffer_text(mid)}")
 
     for buffer, kind in graph.states.items():
         chunks = sum((buffer, c) in graph.transitions for c in CHUNK_PAIRS)
@@ -614,7 +605,8 @@ def _cycle_ratio(graph: TransducerGraph, weights: Weight) -> CycleReport:
     edges = [(index[t.src], index[t.dst], *t.weighs(weights)) for t in kept]
     eta, cycle, dist = _dinkelbach(len(graph.states), edges)
     i0, i1, out = (sum(edges[ei][k] for ei in cycle) for k in (2, 3, 4))
-    return CycleReport(eta, [kept[ei] for ei in cycle], dist, i0 / SCALE,
+    return CycleReport(eta, [kept[ei] for ei in cycle],
+                       dict(zip(graph.states, dist)), i0 / SCALE,
                        i1 / SCALE, out / SCALE)
 
 
@@ -648,22 +640,24 @@ def _chunked(word: str) -> str:
     return word
 
 
+# The answer prefix g for each pair of leading-a flags of the two inputs,
+# with g's section pair: (c,a), (b,1) and (1,b) strip a leading a from
+# both inputs, the first or the second.
+ANSWER_PREFIXES = {(True, True): ("aba", "c", "a"),
+                   (True, False): ("ada", "b", ""),
+                   (False, True): ("d", "", "b"),
+                   (False, False): ("", "", "")}
+
+
 def _prefix_correction(w0: str, w1: str) -> tuple[str, str, str]:
     """Choose a short answer prefix g so both inputs lose leading a's.
 
     Multiplying the sought preimage by g on the left multiplies the input
-    pair by the section pair of g; the choices below (section pairs
-    (c,a), (b,1), (1,b)) strip a leading a from either or both components.
+    pair by the section pair of g, as ANSWER_PREFIXES lists them.
     """
-    lead0 = w0.startswith("a")
-    lead1 = w1.startswith("a")
-    if lead0 and lead1:
-        return "aba", free_reduce("c" + w0), free_reduce("a" + w1)
-    if lead0:
-        return "ada", free_reduce("b" + w0), w1
-    if lead1:
-        return "d", w0, free_reduce("b" + w1)
-    return "", w0, w1
+    g, s0, s1 = ANSWER_PREFIXES[w0.startswith("a"), w1.startswith("a")]
+    return (g, free_reduce(s0 + w0) if s0 else w0,
+            free_reduce(s1 + w1) if s1 else w1)
 
 
 @dataclass
@@ -783,7 +777,8 @@ def preimage_constant(graph: TransducerGraph, weights: Weight | None = None) -> 
     weights = weights or graph.weights
     report = _cycle_ratio(graph, weights)
     eta = float(report.eta)
-    prefix = word_weight("aba", weights) / SCALE
+    prefix = max(word_weight(g, weights)
+                 for g, _, _ in ANSWER_PREFIXES.values()) / SCALE
     rewrite = max(word_weight(CHUNKED_LETTER[x], weights) - weights[x]
                   for x in "bcd") / SCALE
     padding = 2 * word_weight(PADDING_BLOCK, weights) / SCALE

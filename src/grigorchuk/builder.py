@@ -188,7 +188,9 @@ def build(params: BuildParams, log: list[str] | None = None) -> TransducerGraph:
             word = forms.table[e]
             succ = graph.successor(buf, emitted=word)
             graph.add_state(buf, "output")
-            dst = succ if succ in chunk_targets else (graph.resolve(succ) or succ)
+            twin = (succ[1], succ[0])
+            fold = twin in graph.states and succ not in graph.states
+            dst = twin if fold and succ not in chunk_targets else succ
             out = Transition(buf, dst, output=word)
             graph.add_transition(out)
             if dst == succ:

@@ -192,8 +192,8 @@ def _cmd_eta(args) -> int:
             "in_weight1": report.in_weight1,
             "out_weight": report.out_weight,
             "eta_exact": str(report.eta),
-            "potentials": dict(zip(map(buffer_text, graph.states),
-                                   report.potentials)),
+            "potentials": {buffer_text(b): p
+                           for b, p in report.potentials.items()},
         }))
     else:
         print(_fmt(eta))

@@ -37,7 +37,8 @@ def replay_certificate(graph):
     """Check the engine's exact eta against its witness and potentials."""
     report = max_cycle_ratio(graph)[1]
     eta = report.eta
-    replay_potentials(graph, eta, dict(zip(graph.states, report.potentials)))
+    assert list(report.potentials) == list(graph.states)
+    replay_potentials(graph, eta, report.potentials)
     cycle = report.cycle
     assert all(a.dst == b.src for a, b in zip(cycle, cycle[1:] + cycle[:1]))
     assert sum(cycle_value(t, graph.weights, eta) for t in cycle) == 0

@@ -29,8 +29,9 @@ from grigorchuk import (
     verify_graph,
     words_equal,
 )
-from grigorchuk.automaton import (CHUNK_PAIRS, START, Transition,
-                                  TransducerGraph, _dinkelbach)
+from grigorchuk.automaton import (ANSWER_PREFIXES, CHUNK_PAIRS, START,
+                                  Transition, TransducerGraph, _dinkelbach,
+                                  _prefix_correction)
 from grigorchuk.minforms import (SCALE, UNIT_WEIGHTS, is_triangular,
                                  parse_weights, word_weight)
 from grigorchuk.words import in_H
@@ -371,6 +372,53 @@ class TestParsing:
                                  r"\(daca,a\), not its middle buffer"):
             parse_graph(text)
 
+    # three forms no writer produces: a target spelled as the swap of a
+    # state, a transition line above its source's state line, and a state
+    # line re-declaring a middle buffer that a line above created
+    def test_swapped_target_is_dangling(self, fixture_text):
+        text = fixture_text.replace(
+            "edge (-,-) in (da,ba) out daca -> (a,-)",
+            "edge (-,-) in (da,ba) out daca -> (-,a)")
+        with pytest.raises(GraphFormatError) as info:
+            parse_graph(text)
+        assert str(info.value) == "line 16: dangling endpoint (-,a)"
+
+    def test_transition_above_its_source_state(self, fixture_text):
+        lines = fixture_text.splitlines()
+        assert lines[2] == "state (da,da) input"
+        text = "\n".join(lines[:2] + lines[3:] + lines[2:3]) + "\n"
+        with pytest.raises(GraphFormatError) as info:
+            parse_graph(text)
+        assert str(info.value) == ("line 22: edge source (da,da) is not a "
+                                   "declared input state")
+
+    def test_state_line_after_its_middle_buffer(self, fixture_text):
+        # (da,ba) is the middle buffer of line 16, (-,-) reading (da,ba)
+        text = fixture_text + "state (da,ba) output\n"
+        with pytest.raises(GraphFormatError) as info:
+            parse_graph(text)
+        assert str(info.value) == "line 161: duplicate state (da,ba)"
+
+    @settings(max_examples=20, deadline=None)
+    @given(rng=st.randoms(use_true_random=False))
+    def test_transition_line_order_does_not_matter(self, fixture_text,
+                                                   fixture_graph, rng):
+        # a combined line's target may be a middle buffer that a later
+        # line creates; the parser must resolve it wherever it stands
+        lines = fixture_text.splitlines()
+        head = [x for x in lines if not x.startswith(("edge", "special"))]
+        body = lines[len(head):]
+        assert head == lines[:len(head)]
+        rng.shuffle(body)
+        graph = parse_graph("\n".join(head + body) + "\n")
+        assert graph.states == fixture_graph.states
+        assert graph.transitions.keys() == fixture_graph.transitions.keys()
+        for key, t in fixture_graph.transitions.items():
+            got = graph.transitions[key]
+            assert (got.dst, got.output, got.special) == (
+                t.dst, t.output, t.special)
+        assert max_cycle_ratio(graph)[1].eta == Fraction(6651, 1571)
+
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_mutated_line_parses_or_raises_format_error(self, fixture_text,
@@ -586,7 +634,8 @@ class TestCycleRatio:
 
     def test_letter_counts_weigh_like_words(self, fixture_graph):
         # the engine weighs each transition by its letter counts, taken
-        # once; they must give word_weight of its words at any weights
+        # again when its words change; they must give word_weight of its
+        # words at any weights
         rng = random.Random(29)
         tried = 0
         while tried < 20:
@@ -600,6 +649,19 @@ class TestCycleRatio:
                 assert t.consumed(w) == (word_weight(t.reads[0], w),
                                          word_weight(t.reads[1], w))
                 assert t.emitted(w) == word_weight(t.output or "", w)
+
+    def test_relabelled_transition_reweighs(self, fixture_text):
+        # an output label may change after insertion; the letter counts
+        # must follow it, as a reparse of the relabelled graph does
+        graph = parse_graph(fixture_text)
+        assert max_cycle_ratio(graph)[1].eta == Fraction(6651, 1571)
+        out = graph.edge(("aba", "da"))
+        assert out.output == "caba"
+        out.output = "caba" + "dadadada"  # (da)^4 is trivial
+        eta = max_cycle_ratio(graph)[1].eta
+        assert eta == Fraction(1605, 293)
+        assert max_cycle_ratio(
+            parse_graph(serialize_graph(graph)))[1].eta == eta
 
     def test_first_loop_ratio(self, fixture_graph):
         assert first_loop_ratio(fixture_graph) == pytest.approx(
@@ -629,6 +691,12 @@ class TestCycleRatio:
             419.354150, abs=1e-2)
         assert max_cycle_ratio(fixture_graph)[1].excess == pytest.approx(
             30.25, abs=1e-6)
+
+    def test_constant_charges_heaviest_prefix(self, fixture_graph):
+        # with d heavier than b the prefix ada outweighs aba
+        weights = parse_weights("a=1 b=1 c=2 d=2.5")
+        assert preimage_constant(fixture_graph, weights) == pytest.approx(
+            523.125, abs=1e-9)
 
     def test_output_only_cycle_unbounded(self):
         with pytest.raises(TransduceError, match="unbounded"):
@@ -703,6 +771,16 @@ class TestTransduce:
         assert result.output == "d"
         assert result.used_special
         assert result.consumed_chunks == 0
+
+    def test_answer_prefixes(self):
+        # each prefix's listed sections are its own, and the corrected
+        # inputs lose their leading a's
+        for (lead0, lead1), (g, s0, s1) in ANSWER_PREFIXES.items():
+            assert psi(g) == (s0, s1)
+            pair = ("ada" if lead0 else "dad", "aca" if lead1 else "cac")
+            prefix, p0, p1 = _prefix_correction(*pair)
+            assert prefix == g
+            assert not p0.startswith("a") and not p1.startswith("a")
 
     def test_identity_pair(self, fixture_graph):
         result = transduce(fixture_graph, ("", ""))
