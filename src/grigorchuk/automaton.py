@@ -89,10 +89,9 @@ class Transition:
     output: str | None = None     # output label
     special: bool = False
 
-    # the (reads, output) whose letter counts, a b c d per word, are
-    # _letters; class defaults, not dataclass fields
+    # the (reads, output) that _letters counts, a b c d per word; a class
+    # default, not a dataclass field
     _counted = None
-    _letters = ()
 
     def weighs(self, w: Weight) -> tuple[int, int, int]:
         """Scaled weights of the two read words and the output, dotted from
@@ -135,7 +134,8 @@ class CycleReport:
         """Largest accumulated 2*out - eta*(in0+in1) over walks, halved,
         in weight units: how far any run's output can exceed eta/2 times
         its consumed weight."""
-        return max(self.potentials.values()) / (2 * self.eta.denominator * SCALE)
+        return (max(self.potentials.values())
+                / (2 * self.eta.denominator * SCALE))
 
 
 @dataclass
@@ -242,12 +242,10 @@ def _numbered(lineno: int) -> Iterator[None]:
 def _read_transition(graph: TransducerGraph, tokens: list[str]
                      ) -> list[tuple[Buffer, Buffer]]:
     """Lay down a transition line's transitions, aimed at its target as
-    written, and return their keys.  A line that reads and emits passes
-    through its middle buffer, created here unless declared above as an
-    output state.  Each output state gets one output transition; a line
-    that repeats it (a special whose buffer an edge already emits from,
-    say) adds none, and the output is special only if every line giving
-    it is, whatever the order."""
+    written, and return their keys.  Each output state gets one output
+    transition; a line that repeats it (a special whose buffer an edge
+    already emits from, say) adds none, and the output is special only
+    if every line giving it is, whatever the order."""
     directive = tokens[0]
     if "->" not in tokens:
         raise GraphFormatError("missing '->'")
@@ -284,8 +282,9 @@ def _read_transition(graph: TransducerGraph, tokens: list[str]
     state = src
     if step is not None:
         if output is not None:
-            # implicit output vertices are keyed by their exact buffer;
-            # a swapped pair is a different vertex with its own label
+            # the middle buffer, an output state keyed by its exact buffer
+            # (a swapped pair is a different vertex with its own label), is
+            # created here unless a state line above declared it
             state = step.dst = graph.successor(src, step.reads)
             if state not in graph.states:
                 graph.add_state(state, "output")
@@ -368,7 +367,8 @@ def parse_graph(text: str) -> TransducerGraph:
         with _numbered(line_of[key]):
             kind = graph.states.get(t.dst)
             if kind is None:
-                raise GraphFormatError(f"dangling endpoint {buffer_text(t.dst)}")
+                raise GraphFormatError(
+                    f"dangling endpoint {buffer_text(t.dst)}")
             # a chunk reaches an output state only as its middle buffer,
             # the one way the serialization can write it
             if t.reads[0] and kind == "output" and t.dst != (
@@ -770,7 +770,7 @@ def preimage_constant(graph: TransducerGraph, weights: Weight | None = None) -> 
     """The additive constant K of the run bound out <= eta*max(in) + K.
 
     Sums the worst-case contributions that are independent of the input:
-    the answer prefix, the walk excess of the cycle analysis, eta times
+    the heaviest answer prefix, the walk excess of the cycle analysis, eta times
     the chunk-rewriting and padding overhead on the consumed streams, and
     the closing residue's baseline preimage.
     """

@@ -29,9 +29,8 @@ from grigorchuk import (
     verify_graph,
     words_equal,
 )
-from grigorchuk.automaton import (ANSWER_PREFIXES, CHUNK_PAIRS, START,
-                                  Transition, TransducerGraph, _dinkelbach,
-                                  _prefix_correction)
+from grigorchuk.automaton import (CHUNK_PAIRS, START, Transition,
+                                  TransducerGraph, _dinkelbach)
 from grigorchuk.minforms import (SCALE, UNIT_WEIGHTS, is_triangular,
                                  parse_weights, word_weight)
 from grigorchuk.words import in_H
@@ -374,30 +373,23 @@ class TestParsing:
 
     # three forms no writer produces: a target spelled as the swap of a
     # state, a transition line above its source's state line, and a state
-    # line re-declaring a middle buffer that a line above created
-    def test_swapped_target_is_dangling(self, fixture_text):
-        text = fixture_text.replace(
-            "edge (-,-) in (da,ba) out daca -> (a,-)",
-            "edge (-,-) in (da,ba) out daca -> (-,a)")
+    # line re-declaring a middle buffer that a line above created ((da,ba),
+    # of line 16's (-,-) reading (da,ba))
+    @pytest.mark.parametrize("edit, message", [
+        (lambda text: text.replace("(da,ba) out daca -> (a,-)",
+                                   "(da,ba) out daca -> (-,a)"),
+         "line 16: dangling endpoint (-,a)"),
+        (lambda text: text.replace("state (da,da) input\n", "")
+         + "state (da,da) input\n",
+         "line 22: edge source (da,da) is not a declared input state"),
+        (lambda text: text + "state (da,ba) output\n",
+         "line 161: duplicate state (da,ba)"),
+    ], ids=["swapped-target", "source-below", "middle-redeclared"])
+    def test_unwritten_forms_name_the_line(self, fixture_text, edit,
+                                           message):
         with pytest.raises(GraphFormatError) as info:
-            parse_graph(text)
-        assert str(info.value) == "line 16: dangling endpoint (-,a)"
-
-    def test_transition_above_its_source_state(self, fixture_text):
-        lines = fixture_text.splitlines()
-        assert lines[2] == "state (da,da) input"
-        text = "\n".join(lines[:2] + lines[3:] + lines[2:3]) + "\n"
-        with pytest.raises(GraphFormatError) as info:
-            parse_graph(text)
-        assert str(info.value) == ("line 22: edge source (da,da) is not a "
-                                   "declared input state")
-
-    def test_state_line_after_its_middle_buffer(self, fixture_text):
-        # (da,ba) is the middle buffer of line 16, (-,-) reading (da,ba)
-        text = fixture_text + "state (da,ba) output\n"
-        with pytest.raises(GraphFormatError) as info:
-            parse_graph(text)
-        assert str(info.value) == "line 161: duplicate state (da,ba)"
+            parse_graph(edit(fixture_text))
+        assert str(info.value) == message
 
     @settings(max_examples=20, deadline=None)
     @given(rng=st.randoms(use_true_random=False))
@@ -691,12 +683,10 @@ class TestCycleRatio:
             419.354150, abs=1e-2)
         assert max_cycle_ratio(fixture_graph)[1].excess == pytest.approx(
             30.25, abs=1e-6)
-
-    def test_constant_charges_heaviest_prefix(self, fixture_graph):
-        # with d heavier than b the prefix ada outweighs aba
-        weights = parse_weights("a=1 b=1 c=2 d=2.5")
-        assert preimage_constant(fixture_graph, weights) == pytest.approx(
-            523.125, abs=1e-9)
+        # with d heavier than b, the answer prefix ada outweighs aba
+        assert preimage_constant(
+            fixture_graph, parse_weights("a=1 b=1 c=2 d=2.5")
+        ) == pytest.approx(523.125, abs=1e-9)
 
     def test_output_only_cycle_unbounded(self):
         with pytest.raises(TransduceError, match="unbounded"):
@@ -771,16 +761,6 @@ class TestTransduce:
         assert result.output == "d"
         assert result.used_special
         assert result.consumed_chunks == 0
-
-    def test_answer_prefixes(self):
-        # each prefix's listed sections are its own, and the corrected
-        # inputs lose their leading a's
-        for (lead0, lead1), (g, s0, s1) in ANSWER_PREFIXES.items():
-            assert psi(g) == (s0, s1)
-            pair = ("ada" if lead0 else "dad", "aca" if lead1 else "cac")
-            prefix, p0, p1 = _prefix_correction(*pair)
-            assert prefix == g
-            assert not p0.startswith("a") and not p1.startswith("a")
 
     def test_identity_pair(self, fixture_graph):
         result = transduce(fixture_graph, ("", ""))
