@@ -89,20 +89,22 @@ class Transition:
     output: str | None = None     # output label
     special: bool = False
 
-    # the (reads, output) that _letters counts, a b c d per word; a class
-    # default, not a dataclass field
+    # the (reads, output) last counted, with their letter counts, a b c d
+    # per word: a class default, not a field, and one attribute, since a
+    # second added after construction costs each instance a full dict
     _counted = None
 
     def weighs(self, w: Weight) -> tuple[int, int, int]:
         """Scaled weights of the two read words and the output, dotted from
         their letter counts, which are taken again whenever a word changes."""
         words = (self.reads, self.output)
-        if words != self._counted:
-            self._counted = words
-            self._letters = tuple(tuple(word.count(ch) for ch in LETTERS)
-                                  for word in (*self.reads, self.output or ""))
+        counted = self._counted
+        if counted is None or counted[0] != words:
+            counted = self._counted = (words, tuple(
+                tuple(word.count(ch) for ch in LETTERS)
+                for word in (*self.reads, self.output or "")))
         wa, wb, wc, wd = w["a"], w["b"], w["c"], w["d"]
-        (a0, b0, c0, d0), (a1, b1, c1, d1), (a2, b2, c2, d2) = self._letters
+        (a0, b0, c0, d0), (a1, b1, c1, d1), (a2, b2, c2, d2) = counted[1]
         return (a0 * wa + b0 * wb + c0 * wc + d0 * wd,
                 a1 * wa + b1 * wb + c1 * wc + d1 * wd,
                 a2 * wa + b2 * wb + c2 * wc + d2 * wd)
