@@ -9,8 +9,10 @@ move to the buffer with that label's sections cancelled off.
 
 Each transition is one entry of ``TransducerGraph.transitions``, keyed
 by its source and the words it reads: (xa, ya) for a chunk edge, ("", u)
-for a special's pad, ("", "") for an output.  Insertion order is the
-serialized line order and the cycle-ratio engine's edge order.
+for a special, ("", "") for an output.  A special is one transition, as
+it is one line: it reads its pad u on the second stream at START and
+writes its label, and its pad's buffer is no state.  Insertion order is
+the serialized line order and the cycle-ratio engine's edge order.
 
 The central invariant is one successor rule, ``TransducerGraph.successor``:
 a transition from buffer (u0,u1) that consumes (x0,x1) and emits v
@@ -22,13 +24,13 @@ with (v0,v1) the section pair of v.  Since all generators are
 involutions, rev(v0) is the inverse of v0, so the sections of the
 emitted output times the remaining buffer always equal the consumed
 input.  The parser, the runner and the builder step every buffer they
-reach, by chunk, emission or pad, by this rule; only the builder's
-pricing of candidate emissions uses the inverse products rev(u0) * v0
-and rev(u1) * v1 instead.  The verifier checks the rule on every
-transition: chunk edges, output edges and the pad edges of specials.
-A buffer pair may equally be stored with its components swapped; the
-verifier and the runner accept either orientation, and the runner
-derives the swap from the state it is in.
+reach, by chunk or emission, by this rule; only the builder's pricing
+of candidate emissions uses the inverse products rev(u0) * v0 and
+rev(u1) * v1 instead.  The verifier checks the rule on every
+transition: chunk edges, output edges and specials, each stepped by
+what it reads and writes.  A buffer pair may equally be stored with its
+components swapped; the verifier and the runner accept either
+orientation, and the runner derives the swap from the state it is in.
 
 Cycle analysis bounds the output weight of arbitrarily long runs: the
 maximal ratio 2*out/(in0+in1) over directed cycles is the certified
@@ -87,12 +89,17 @@ class Transition:
     dst: Buffer
     reads: Buffer = ("", "")      # a chunk (xa, ya), a pad ("", u), or none
     output: str | None = None     # output label
-    special: bool = False
 
     # the (reads, output) last counted, with their letter counts, a b c d
     # per word: a class default, not a field, and one attribute, since a
     # second added after construction costs each instance a full dict
     _counted = None
+
+    @property
+    def special(self) -> bool:
+        """A special reads a pad: nothing on the first stream, a nonempty
+        word on the second."""
+        return not self.reads[0] and bool(self.reads[1])
 
     def weighs(self, w: Weight) -> tuple[int, int, int]:
         """Scaled weights of the two read words and the output, dotted from
@@ -179,8 +186,7 @@ class TransducerGraph:
         self.forms = MinimalForms(weights)
         # successor results keyed by their argument values, so a changed
         # transition never reads a stale entry; the program's callers add
-        # one per transition key, plus one per special that
-        # attach_specials skips
+        # one per transition key
         self.successor_memo: dict[tuple[Buffer, Buffer, str], Buffer] = {}
 
     # -- construction -------------------------------------------------------
@@ -244,10 +250,10 @@ def _numbered(lineno: int) -> Iterator[None]:
 def _read_transition(graph: TransducerGraph, tokens: list[str]
                      ) -> list[tuple[Buffer, Buffer]]:
     """Lay down a transition line's transitions, aimed at its target as
-    written, and return their keys.  Each output state gets one output
-    transition; a line that repeats it (a special whose buffer an edge
-    already emits from, say) adds none, and the output is special only
-    if every line giving it is, whatever the order."""
+    written, and return their keys.  A special, or an edge that only
+    reads, is one transition.  An edge that emits gives its source's
+    output state, or the middle buffer it reads into, one output
+    transition; a line that repeats it adds none."""
     directive = tokens[0]
     if "->" not in tokens:
         raise GraphFormatError("missing '->'")
@@ -258,56 +264,54 @@ def _read_transition(graph: TransducerGraph, tokens: list[str]
         raise GraphFormatError(f"malformed {directive} line")
     labels = dict(zip(head[1::2], head[2::2]))
     src, target = _text_to_buffer(head[0]), _text_to_buffer(tail[0])
-    step = None
+    reads = ("", "")
     if "in" in labels:
-        chunk = _text_to_buffer(labels["in"])
-        if chunk not in CHUNK_PAIRS:
-            bad = next(p for p in chunk if p not in {x for x, _ in CHUNK_PAIRS})
+        reads = _text_to_buffer(labels["in"])
+        if reads not in CHUNK_PAIRS:
+            bad = next(p for p in reads if p not in {x for x, _ in CHUNK_PAIRS})
             raise GraphFormatError(f"chunk {bad!r} is not of the form xa")
-        step = Transition(src, target, reads=chunk)
     elif "pad" in labels:
         consumed = labels["pad"][1:-1].partition(",")[2]
         check_word(consumed)
-        if labels["pad"] != f"({PAD * len(consumed)},{consumed})":
+        if not consumed \
+                or labels["pad"] != f"({PAD * len(consumed)},{consumed})":
             raise GraphFormatError(f"malformed pad label {labels['pad']!r}")
-        step = Transition(src, target, reads=("", consumed), special=True)
+        reads = ("", consumed)
     output = labels.get("out")
     check_word(output or "")
-    kind = "output" if step is None else "input"
+    kind = "output" if reads == ("", "") else "input"
     if graph.states.get(src) != kind:
         raise GraphFormatError(f"{directive} source {buffer_text(src)} is not "
                                f"a declared {kind} state")
     if directive == "special" and src != START:
         raise GraphFormatError(f"special source {buffer_text(src)} is not "
                                f"the empty buffer {buffer_text(START)}")
+    if output is None or directive == "special":
+        graph.add_transition(
+            Transition(src, target, reads=reads, output=output))
+        return [(src, reads)]
     keys = []
     state = src
-    if step is not None:
-        if output is not None:
-            # the middle buffer, an output state keyed by its exact buffer
-            # (a swapped pair is a different vertex with its own label), is
-            # created here unless a state line above declared it
-            state = step.dst = graph.successor(src, step.reads)
-            if state not in graph.states:
-                graph.add_state(state, "output")
-            elif graph.states[state] != "output":
-                raise GraphFormatError(f"middle buffer {buffer_text(state)} "
-                                       f"is a declared input state")
-        graph.add_transition(step)
-        keys.append((src, step.reads))
-    if output is not None:
-        special = step is not None and step.special
-        prior = graph.edge(state)
-        if prior is None:
-            graph.add_transition(
-                Transition(state, target, output=output, special=special))
-            keys.append((state, ("", "")))
-        elif (prior.output, prior.dst) != (output, target):
-            raise GraphFormatError(
-                f"duplicate state {buffer_text(state)} with conflicting "
-                f"output transitions")
-        elif not special:
-            prior.special = False
+    if reads[0]:
+        # the middle buffer, an output state keyed by its exact buffer (a
+        # swapped pair is a different vertex with its own label), is
+        # created here unless a state line above declared it
+        state = graph.successor(src, reads)
+        if state not in graph.states:
+            graph.add_state(state, "output")
+        elif graph.states[state] != "output":
+            raise GraphFormatError(f"middle buffer {buffer_text(state)} "
+                                   f"is a declared input state")
+        graph.add_transition(Transition(src, state, reads=reads))
+        keys.append((src, reads))
+    prior = graph.edge(state)
+    if prior is None:
+        graph.add_transition(Transition(state, target, output=output))
+        keys.append((state, ("", "")))
+    elif (prior.output, prior.dst) != (output, target):
+        raise GraphFormatError(
+            f"duplicate state {buffer_text(state)} with conflicting "
+            f"output transitions")
     return keys
 
 
@@ -407,9 +411,7 @@ def serialize_graph(graph: TransducerGraph) -> str:
                                    *_state_flags(b, kind)]))
     for b, kind in graph.states.items():
         if kind == "output" and b not in chunk_covered:
-            out = graph.edge(b)
-            if out is not None and not out.special:
-                lines.append(f"state {buffer_text(b)} output")
+            lines.append(f"state {buffer_text(b)} output")
     for t in chunk_edges:
         out = graph.edge(t.dst) if graph.states[t.dst] == "output" else None
         if out is None:
@@ -425,12 +427,11 @@ def serialize_graph(graph: TransducerGraph) -> str:
             lines.append(f"edge {buffer_text(t.src)} out {t.output} -> "
                          f"{buffer_text(t.dst)}")
     for t in transitions:
-        if t.special and t.output is None:
+        if t.special:
             pad = t.reads[1]
-            out = graph.edge(t.dst)
             lines.append(f"special {buffer_text(t.src)} pad "
-                         f"({PAD * len(pad)},{pad}) out {out.output} -> "
-                         f"{buffer_text(out.dst)}")
+                         f"({PAD * len(pad)},{pad}) out {t.output} -> "
+                         f"{buffer_text(t.dst)}")
     return "\n".join(lines) + "\n"
 
 
@@ -441,13 +442,14 @@ def verify_graph(graph: TransducerGraph) -> VerificationReport:
 
     Every transition must leave a declared state and reach
     graph.successor of its source, reading its chunk or pad and writing
-    its output, and that target must be a declared state; output labels
-    must also be parity-even, weight-minimal and on a transition that
-    reads nothing, specials must leave the input state START and read
-    pads in the closure of b, input states need nine chunk successors and
-    no output, and output states exactly one output and no chunk or
-    pad.  A successor stored with swapped components is accepted and
-    counted, not flagged.
+    its output, and that target must be a declared state.  Output labels
+    must be parity-even and weight-minimal, and may not sit on a chunk
+    edge.  A special, one transition reading a pad and writing a label,
+    must leave the input state START, read a pad in the closure of b and
+    write a label.  Input states need nine chunk successors and no
+    output, and output states exactly one output and no chunk or pad.  A
+    successor stored with swapped components is accepted and counted,
+    not flagged.
     """
     report = VerificationReport()
     report.input_states = list(graph.states.values()).count("input")
@@ -460,31 +462,11 @@ def verify_graph(graph: TransducerGraph) -> VerificationReport:
     forms = graph.forms
     for t in graph.transitions.values():
         src_name = buffer_text(t.src)
-        if t.output is not None:
-            label = f"output {t.output!r}"
-            if t.reads != ("", ""):
-                # the file format writes a read and an emission as two
-                # transitions through the middle buffer
-                report.violations.append(
-                    f"{label} at {src_name} also reads "
-                    f"{buffer_text(t.reads)}")
-            if not in_H(t.output):
-                report.violations.append(
-                    f"{label} at {src_name} has odd a-parity")
-                continue
-            e = forms.settled(t.output)
-            if word_weight(t.output, forms.weights) != forms.form_weight[e]:
-                report.violations.append(
-                    f"{label} at {src_name} is not weight-minimal")
-            elif forms.table[e] != t.output:
-                report.notes.append(
-                    f"{label} at {src_name} is minimal-weight but not the "
-                    f"canonical spelling")
-        elif t.reads[0]:
-            label = f"chunk {t.reads}"
-        else:
+        label = (f"pad {t.reads[1]!r}" if t.special else
+                 f"chunk {t.reads}" if t.output is None else
+                 f"output {t.output!r}")
+        if t.special:
             pad = t.reads[1]
-            label = f"pad {pad!r}"
             if not in_B(pad):
                 report.violations.append(
                     f"special at {src_name} consumes {pad!r} outside the "
@@ -493,6 +475,29 @@ def verify_graph(graph: TransducerGraph) -> VerificationReport:
                 report.violations.append(
                     f"special attached at {src_name}, not at the empty "
                     f"buffer {buffer_text(START)}")
+            if t.output is None:
+                report.violations.append(
+                    f"special at {src_name} reads {pad!r} and writes no label")
+        if t.output is not None:
+            written = f"output {t.output!r}"
+            if t.reads[0]:
+                # the file format writes a read and an emission as two
+                # transitions through the middle buffer
+                report.violations.append(
+                    f"{written} at {src_name} also reads "
+                    f"{buffer_text(t.reads)}")
+            if not in_H(t.output):
+                report.violations.append(
+                    f"{written} at {src_name} has odd a-parity")
+                continue
+            e = forms.settled(t.output)
+            if word_weight(t.output, forms.weights) != forms.form_weight[e]:
+                report.violations.append(
+                    f"{written} at {src_name} is not weight-minimal")
+            elif forms.table[e] != t.output:
+                report.notes.append(
+                    f"{written} at {src_name} is minimal-weight but not the "
+                    f"canonical spelling")
         expect = graph.successor(t.src, t.reads, t.output or "")
         if t.dst == expect:
             pass
@@ -679,10 +684,11 @@ def transduce(graph: TransducerGraph, pair: Buffer) -> TransduceResult:
     with output chains from START, accepting swapped successor
     orientations by emitting the mirror conjugate a*v*a; an odd output
     label stops it.  When the first stream is empty the residue is closed
-    off through a special transition when the run sits unmirrored at
-    START, the only state specials leave, and one matches; otherwise
-    through the baseline preimage of the remaining buffer, whose size is
-    bounded by the graph's buffers plus eight letters.
+    off through a special when the run sits unmirrored at START, the only
+    state specials leave, and one reads the residue as its pad: the run
+    writes that special's label.  Otherwise it is closed off through the
+    baseline preimage of the remaining buffer, whose size is bounded by
+    the graph's buffers plus eight letters.
 
     The run check takes the written parts' segment form once.  That form
     spells the answer, and the answer passes when its parity is even and
@@ -749,7 +755,7 @@ def transduce(graph: TransducerGraph, pair: Buffer) -> TransduceResult:
     if state == START:
         t = graph.edge(START, ("", graph.forms.minimal_form(residue1)))
         if t is not None:
-            parts.append(graph.edge(t.dst).output)
+            parts.append(t.output)
             used_special = True
             residue1 = ""
     if residue0 or residue1:

@@ -13,7 +13,8 @@ max_cycle_ratio.  Special end-of-input transitions are attached last, at
 the empty buffer only: transduce reads them nowhere else, and
 preimage_constant closes runs through the baseline preimage, so no
 certified number depends on a special.  attach_specials writes them, for
-build and for tools/make_fixture.py alike.
+build and for tools/make_fixture.py alike, each as one transition from
+the empty buffer back to it that reads its pad and writes its label.
 """
 
 from __future__ import annotations
@@ -202,7 +203,7 @@ def build(params: BuildParams, log: list[str] | None = None) -> TransducerGraph:
             expand(buf)
             log.append(f"input {buf}")
 
-    attached = attach_specials(graph, log)
+    attached = attach_specials(graph)
     n_in = list(graph.states.values()).count("input")
     log.append(f"states: {len(graph.states)} ({n_in} input), "
                f"specials attached: {attached}")
@@ -210,34 +211,19 @@ def build(params: BuildParams, log: list[str] | None = None) -> TransducerGraph:
     return graph
 
 
-def attach_specials(graph: TransducerGraph, log: list[str]) -> int:
-    """Attach a special at the empty buffer for each nonempty form in B
-    of at most SPECIAL_LEN letters, labelled by its baseline preimage;
-    log each one skipped because its middle buffer emits something else.
-    Returns the number attached."""
+def attach_specials(graph: TransducerGraph) -> int:
+    """Attach a special at the empty buffer for each nonempty form u in B
+    of at most SPECIAL_LEN letters: one transition back to the empty
+    buffer that reads ("", u) and writes u's baseline preimage.  Returns
+    the number attached."""
     forms = graph.forms
-    attached = 0
-    for u in forms.enumerate_forms(SPECIAL_LEN, in_B):
-        if not u:
-            continue
+    pads = [u for u in forms.enumerate_forms(SPECIAL_LEN, in_B) if u]
+    for u in pads:
         label = forms.minimal_form(psi_preimage_basic("", u))
         if len(label) > 2 * SPECIAL_LEN + 12:
             raise RuntimeError(
                 f"no special preimage found within bound at ('', '') "
                 f"for {u!r}")
-        mid = graph.successor(START, ("", u))
-        if mid in graph.states:
-            existing = graph.edge(mid)
-            if existing is None or existing.output != label \
-                    or existing.dst != START:
-                log.append(f"special {u!r} at ('', '') skipped: "
-                           f"buffer {mid} already in use")
-                continue
-        else:
-            graph.add_state(mid, "output")
-            graph.add_transition(
-                Transition(mid, START, output=label, special=True))
         graph.add_transition(
-            Transition(START, mid, reads=("", u), special=True))
-        attached += 1
-    return attached
+            Transition(START, START, reads=("", u), output=label))
+    return len(pads)

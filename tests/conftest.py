@@ -33,6 +33,13 @@ def replay_potentials(graph, eta, potential):
                     + potential[t.src] - potential[t.dst] <= 0)
 
 
+def assert_no_special_only_states(graph):
+    """Every state but START is the target of a chunk or an output
+    transition: a special, one transition, makes no state of its own."""
+    targets = {t.dst for t in graph.transitions.values() if not t.special}
+    assert all(b in targets for b in graph.states if b != ("", ""))
+
+
 def replay_certificate(graph):
     """Check the engine's exact eta against its witness and potentials."""
     report = max_cycle_ratio(graph)[1]

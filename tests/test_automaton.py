@@ -35,7 +35,7 @@ from grigorchuk.minforms import (SCALE, UNIT_WEIGHTS, is_triangular,
                                  parse_weights, word_weight)
 from grigorchuk.words import in_H
 
-from conftest import replay_certificate
+from conftest import assert_no_special_only_states, replay_certificate
 
 # A structurally valid machine used for exact-ratio checks.  Its outputs are
 # not group-correct (verify_graph would flag them); only the shape matters
@@ -68,16 +68,17 @@ edge (d,-) out aca -> (c,-)
 edge (c,-) out aca -> (d,-)
 """
 
-# A special whose middle buffer (-,b) is an output state already: the
-# special line repeats that state's output d instead of adding a second.
+# A special whose pad buffer (-,b) is also an output state emitting d: the
+# special and that state's output are two transitions.
 SHARED_MID = HEADER + "state (-,b) output\n" + SILENT_LOOPS + """\
 edge (-,b) out d -> (-,-)
 special (-,-) pad (_,b) out d -> (-,-)
 """
 
 # (-,-) reads (ba,ba) into the input state (ad,-), whose heavy (da,da) edge
-# shares its output state (-,da) with a special at (-,-); the one emitting
-# cycle, (-,-) -> (ad,-) -> (-,da) -> (-,-), has ratio 2*6/(4+4) = 1.5.
+# emits at (-,da), the buffer a special at (-,-) reads as its pad; the one
+# emitting cycle, (-,-) -> (ad,-) -> (-,da) -> (-,-), has ratio
+# 2*6/(4+4) = 1.5.
 HEAVY_EDGE = "edge (ad,-) in (da,da) out cacaca -> (-,-)\n"
 HEAVY_SPECIAL = "special (-,-) pad (__,da) out cacaca -> (-,-)\n"
 SHARED_HEAVY_MID = (
@@ -93,7 +94,7 @@ INPUT_MID = (
     + SILENT_LOOPS.replace("in (da,da) ->", "in (da,da) out cacacaca ->")
     + SILENT_LOOPS.replace("(-,-)", "(da,da)"))
 
-# A special whose middle buffer (-,b) is a declared input state.
+# A special whose pad buffer (-,b) is a declared input state.
 INPUT_PAD_MID = (HEADER + "state (-,b) input\n" + SILENT_LOOPS
                  + SILENT_LOOPS.replace("(-,-)", "(-,b)")
                  + "special (-,-) pad (_,b) out d -> (-,-)\n")
@@ -184,10 +185,12 @@ def random_pair(rng, max_len=14):
 class TestParsing:
     def test_fixture_shape(self, fixture_graph):
         kinds = list(fixture_graph.states.values())
-        assert len(fixture_graph.states) == 141
+        assert len(fixture_graph.states) == 102
         assert kinds.count("input") == 12
-        assert kinds.count("output") == 129
-        assert len(fixture_graph.transitions) == 276
+        assert kinds.count("output") == 90
+        assert len(fixture_graph.transitions) == 237
+        # a special is one transition, so no state exists for it alone
+        assert_no_special_only_states(fixture_graph)
 
     def test_serialize_round_trip(self, fixture_text, fixture_graph):
         assert serialize_graph(fixture_graph) == fixture_text
@@ -196,7 +199,14 @@ class TestParsing:
         # the generator respells every label through minimal forms, so the
         # bundled file pins the canonical spellings as well as the table
         module = load_make_fixture()
-        assert serialize_graph(module.build_fixture()[0]) == fixture_text
+        graph, stats, provenance = module.build_fixture()
+        assert serialize_graph(graph) == fixture_text
+        # one provenance line per repaired row and per swapped successor
+        kinds = [line.split()[0] for line in provenance]
+        assert (kinds.count("repaired"), kinds.count("swapped")) \
+            == (stats["repaired"], stats["swapped"]) == (13, 24)
+        assert "repaired (ad,-) in (da,ba): printed ada -> derived d" \
+            in provenance
 
     def test_toy_round_trip_stable(self):
         once = serialize_graph(parse_graph(TOY))
@@ -253,12 +263,13 @@ class TestParsing:
             parse_graph(text)
 
     def test_special_shares_output_state(self):
+        # the special reading b and the output of the state (-,b) both
+        # write d, as two transitions
         graph = parse_graph(SHARED_MID)
-        outs = [t for t in graph.transitions.values()
-                if t.src == ("", "b") and t.output is not None]
-        assert [(t.output, t.dst, t.special) for t in outs] == [
-            ("d", ("", ""), False)]
-        assert graph.edge(("", ""), ("", "b")).dst == ("", "b")
+        outs = [(t.src, t.reads, t.output, t.dst, t.special)
+                for t in graph.transitions.values() if t.output is not None]
+        assert outs == [(("", "b"), ("", ""), "d", ("", ""), False),
+                        (("", ""), ("", "b"), "d", ("", ""), True)]
         assert serialize_graph(graph) == SHARED_MID
         # the silent loops land on the wrong buffers; (-,b) itself is sound
         assert not any("(-,b)" in v for v in verify_graph(graph).violations)
@@ -286,13 +297,15 @@ class TestParsing:
         assert str(info.value) == f"line {lineno}: {message}"
 
     @pytest.mark.parametrize("special_first", [False, True])
-    def test_shared_output_special_only_if_every_line_is(self, special_first):
-        # the edge line's output is not special, so line order must not
-        # drop the state's cycles from eta
+    def test_edge_output_at_pad_buffer_counts_toward_eta(self, special_first):
+        # the edge's output at (-,da), a special's pad buffer, is its own
+        # transition and not special, so it counts toward eta whatever the
+        # line order
         lines = [HEAVY_EDGE, HEAVY_SPECIAL]
         graph = parse_graph(SHARED_HEAVY_MID + "".join(
             lines[::-1] if special_first else lines))
         assert not graph.edge(("", "da")).special
+        assert graph.edge(START, ("", "da")).special
         assert max_cycle_ratio(graph)[0] == 1.5
         assert serialize_graph(graph) == serialize_graph(
             parse_graph(SHARED_HEAVY_MID + HEAVY_EDGE + HEAVY_SPECIAL))
@@ -306,9 +319,11 @@ class TestParsing:
         ("edge (-,-) out ca -> (-,-)", "edge source (-,-) is not a "
                                         "declared output state"),
         ("special (-,-) pad (__,b) out d -> (-,-)", "malformed pad label"),
+        ("special (-,-) pad (,) out d -> (-,-)", "malformed pad label '(,)'"),
         ("state (-,-) input", "duplicate state (-,-)"),
     ], ids=["trailing-token", "bare-arrow", "missing-arrow", "output-letter",
-            "buffer-letter", "source-kind", "pad-label", "duplicate-state"])
+            "buffer-letter", "source-kind", "pad-label", "empty-pad",
+            "duplicate-state"])
     def test_errors_name_the_line(self, line, message):
         text = HEADER + line + "\n" + SILENT_LOOPS
         with pytest.raises(GraphFormatError) as info:
@@ -353,13 +368,23 @@ class TestParsing:
             parse_graph(text)
 
     @pytest.mark.parametrize("text, lineno, mid", [
-        (INPUT_MID, 4, "(da,da)"), (INPUT_PAD_MID, 22, "(-,b)")],
-        ids=["edge", "special"])
+        (INPUT_MID, 4, "(da,da)")], ids=["edge"])
     def test_middle_buffer_must_not_be_input_state(self, text, lineno, mid):
         with pytest.raises(GraphFormatError,
                            match=rf"^line {lineno}: middle buffer "
                                  rf"{re.escape(mid)} is a declared input"):
             parse_graph(text)
+
+    def test_pad_buffer_may_be_input_state(self):
+        # a special's pad buffer is no state of its own, so (-,b) may be
+        # an input state; only the silent loops break the successor rule
+        graph = parse_graph(INPUT_PAD_MID)
+        special = graph.edge(START, ("", "b"))
+        assert (special.output, special.dst) == ("d", START)
+        assert graph.states[("", "b")] == "input"
+        assert serialize_graph(graph) == INPUT_PAD_MID
+        assert all(v.startswith("chunk ")
+                   for v in verify_graph(graph).violations)
 
     def test_chunk_edge_into_other_output_state(self, fixture_text):
         # (daca,a) is the middle buffer of other edges; written through it,
@@ -446,10 +471,16 @@ class TestParsing:
         assert serialize_graph(parse_graph(once)) == once
 
     def test_special_conflicting_output(self):
+        # the special writes ada while its pad buffer (-,b) emits d: the
+        # line is its own transition, and only its wrong label is flagged
         text = SHARED_MID.replace("pad (_,b) out d", "pad (_,b) out ada")
-        with pytest.raises(GraphFormatError,
-                           match="conflicting output transitions"):
-            parse_graph(text)
+        graph = parse_graph(text)
+        assert graph.edge(START, ("", "b")).output == "ada"
+        assert graph.edge(("", "b")).output == "d"
+        assert serialize_graph(graph) == text
+        assert [v for v in verify_graph(graph).violations
+                if not v.startswith("chunk ")] == [
+            "pad 'b' at (-,-) should reach (b,b), found (-,-)"]
 
 
 class TestVerification:
@@ -458,8 +489,8 @@ class TestVerification:
         assert report.ok
         assert report.violations == []
         assert report.input_states == 12
-        assert report.output_states == 129
-        assert report.transitions == 276
+        assert report.output_states == 90
+        assert report.transitions == 237
         assert report.swapped_successors == 23
 
     def test_corrupted_label_caught(self, fixture_text):
@@ -490,13 +521,14 @@ class TestVerification:
             "canonical spelling"]
 
     def test_pad_successor_checked(self):
-        # the pad edge must reach its middle buffer (-,b); aimed at another
-        # declared output state, it is the one violation naming the pad
+        # reading b and writing d, the special must return to (-,-); aimed
+        # at another declared output state, it is the one violation naming
+        # the pad
         graph = parse_graph(
             SHARED_MID + "state (-,d) output\nedge (-,d) out aca -> (-,-)\n")
-        graph.edge(("", ""), ("", "b")).dst = ("", "d")
+        graph.edge(START, ("", "b")).dst = ("", "d")
         assert [v for v in verify_graph(graph).violations if "pad" in v] \
-            == ["pad 'b' at (-,-) should reach (-,b), found (-,d)"]
+            == ["pad 'b' at (-,-) should reach (-,-), found (-,d)"]
 
 
     def test_input_state_with_output_caught(self):
@@ -579,24 +611,28 @@ class TestVerification:
         (lambda g: setattr(g.edge(("adad", "adad")), "output", "acacacacdd"),
          "output 'acacacacdd' at (adad,adad) is not weight-minimal"),
         (lambda g: g.add_transition(
-            Transition(("", ""), ("", "b"), reads=("", "d"), special=True)),
+            Transition(START, START, reads=("", "d"), output="d")),
          "special at (-,-) consumes 'd' outside the closure of b"),
         (lambda g: g.add_transition(
-            Transition(("a", ""), ("a", "b"), reads=("", "b"), special=True)),
+            Transition(("a", ""), ("a", ""), reads=("", "b"), output="d")),
          "special attached at (a,-), not at the empty buffer (-,-)"),
         (lambda g: g.add_transition(
-            Transition(("da", "da"), ("da", "dab"), reads=("", "b"),
-                       special=True)),
+            Transition(("da", "da"), ("da", "da"), reads=("", "b"),
+                       output="d")),
          "special attached at (da,da), not at the empty buffer (-,-)"),
         (lambda g: g.transitions.pop((("da", "da"), ("da", "da"))),
          "input state (da,da) has 8 chunk successors, expected 9"),
         (lambda g: g.add_transition(
-            Transition(("dad", "da"), ("dad", "dab"), reads=("", "b"),
-                       special=True)),
+            Transition(("dad", "da"), ("dad", "da"), reads=("", "b"),
+                       output="d")),
          "output state (dad,da) has 1 chunk or pad transitions, expected 0"),
+        (lambda g: setattr(g.edge(START, ("", "b")), "output", "ab"),
+         "output 'ab' at (-,-) has odd a-parity"),
+        (lambda g: setattr(g.edge(START, ("", "b")), "output", None),
+         "special at (-,-) reads 'b' and writes no label"),
     ], ids=["odd-parity", "not-minimal", "pad-outside-b",
             "special-off-section-pair", "special-off-start", "eight-chunks",
-            "pad-at-output"])
+            "pad-at-output", "special-odd-parity", "special-no-label"])
     def test_violation_texts(self, fixture_text, corrupt, message):
         graph = parse_graph(fixture_text)
         corrupt(graph)
@@ -812,8 +848,7 @@ class TestTransduce:
     @pytest.mark.parametrize("label", ["abadaba", "ab"])
     def test_run_check_catches_a_wrong_special(self, fixture_text, label):
         graph = parse_graph(fixture_text)
-        special = graph.edge(("", ""), ("", "b"))
-        graph.edge(special.dst).output = label
+        graph.edge(START, ("", "b")).output = label
         with pytest.raises(TransduceError) as err:
             transduce(graph, ("", "b"))
         assert str(err.value) == "not in the section image: run check failed"

@@ -27,7 +27,7 @@ from grigorchuk.minforms import (SCALE, UNIT_WEIGHTS, MinimalForms,
                                  parse_weights, word_weight)
 from grigorchuk.words import in_H, segment_sections, segments
 
-from conftest import replay_certificate
+from conftest import assert_no_special_only_states, replay_certificate
 
 # weights under which the construction lands on its lowest measured cycle
 # ratio; several build tests share one graph because a build takes seconds
@@ -103,11 +103,11 @@ class TestParams:
 class TestBuild:
     def test_shape(self, valley_graph):
         kinds = list(valley_graph.states.values())
-        assert len(valley_graph.states) == 221
+        assert len(valley_graph.states) == 182
         assert kinds.count("input") == 19
-        assert kinds.count("output") == 202
-        assert len(valley_graph.transitions) == 412
-        assert sum(t.special for t in valley_graph.transitions.values()) == 78
+        assert kinds.count("output") == 163
+        assert len(valley_graph.transitions) == 373
+        assert sum(t.special for t in valley_graph.transitions.values()) == 39
 
     def test_verifies_clean(self, valley_graph):
         report = verify_graph(valley_graph)
@@ -153,7 +153,7 @@ class TestBuild:
         _, log = valley_build
         assert log[0] == "candidate outputs: 18221"
         assert any(line.startswith("output ") for line in log)
-        assert log[-2] == "states: 221 (19 input), specials attached: 39"
+        assert log[-2] == "states: 182 (19 input), specials attached: 39"
         assert log[-1] == "candidates scanned: 142578"
 
     def test_candidates_weight_sorted(self):
@@ -206,32 +206,32 @@ class TestBuild:
     @pytest.mark.parametrize("kwargs, digest, states, scanned", [
         (dict(initial_weight=VALLEY, max_len=16),
          "dfaee3ac1ea8ac5f2b6438374b2c20b3d36d711879f8ba2faf014b7b20144f06",
-         "221 (19 input), specials attached: 39", 105908),
+         "182 (19 input), specials attached: 39", 105908),
         (dict(initial_weight=parse_weights("a=1 b=3.33 c=2.8 d=1.06"),
               max_len=14),
-         "e7f330f380b1e9a571c7be22354bf5c05949bc19a554148ad8ece49dbf4737df",
-         "164 (13 input), specials attached: 38", 37108),
+         "40a7789591023bda111e05da3b0694a3bff68302a290af6b2ae0650a8cede767",
+         "126 (13 input), specials attached: 39", 37108),
         (dict(initial_weight=dict(UNIT_WEIGHTS), max_len=12),
          "889fabc63a1699c4c71fb08185cd08efb61af7c104bf746e20a1257d6109ca50",
-         "198 (18 input), specials attached: 39", 63861),
+         "160 (18 input), specials attached: 39", 63861),
         (dict(initial_weight=parse_weights("a=1 b=2.5 c=2.2 d=1.4"),
               max_len=14, eta_prime=3.6),
          "ab680534f7dd0a2d7de2fc780f758519fbee6464eb52abc62229d8e809c5a589",
-         "188 (14 input), specials attached: 39", 67926),
+         "150 (14 input), specials attached: 39", 67926),
         (dict(initial_weight=VALLEY, max_len=10, eta_prime=3.5),
-         "71ea5d72d86c9ccb98a8feeef6a79634e089f65837408dea0116fd7135094514",
-         "504 (46 input), specials attached: 36", 91339),
+         "52feef337c2806b7900bfeaea4f7580234ed0be4463d4855fbdb58df6322908f",
+         "469 (46 input), specials attached: 39", 91339),
         # a larger delta makes the balance bonus decide winners
         (dict(initial_weight=VALLEY, max_len=12, delta=0.05),
          "636a9db5171ceccbc8b58f88ac644933c92a333f19c5cc7ff3a2a553cca30649",
-         "200 (17 input), specials attached: 39", 59697),
+         "161 (17 input), specials attached: 39", 59697),
         # an emission's remainder folds onto its stored twin when it is
         # emitted; without that fold this machine measures eta 5.5, not
         # 176/35
         (dict(initial_weight=parse_weights("a=1 b=2.5 c=2.2 d=1.4"),
               max_len=12, eta_prime=3.2, delta=0.05),
          "c3ec0339c47b69e0bc0afcedc02c0138b90e04e6b5dae7c956acf199d80c3e57",
-         "226 (22 input), specials attached: 39", 83406),
+         "188 (22 input), specials attached: 39", 83406),
     ], ids=["valley-quality", "b3.33-c2.8-d1.06", "unit", "eta-prime-3.6",
             "valley-eta-prime-3.5", "valley-delta-0.05", "twin-fold"])
     def test_output_digest(self, kwargs, digest, states, scanned):
@@ -242,9 +242,10 @@ class TestBuild:
         assert log[-2:] == [f"states: {states}",
                             f"candidates scanned: {scanned}"]
         # specials hang at the empty buffer, the one state transduce
-        # reads them from
+        # reads them from, and make no state of their own
         assert all(t.src == ("", "") for t in graph.transitions.values()
-                   if t.special and t.output is None)
+                   if t.special)
+        assert_no_special_only_states(graph)
         # the machine verifies clean, every label canonically spelled, and
         # the file verifies as the machine it was written from
         built, reparsed = verify_graph(graph), verify_graph(parse_graph(text))

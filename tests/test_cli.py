@@ -191,7 +191,7 @@ class TestGraphCommands:
         payload = json.loads(out)
         assert payload["ok"] is True
         assert payload["violations"] == []
-        assert payload["transitions"] == 276
+        assert payload["transitions"] == 237
 
     def test_verify_graph_rejects_corruption(self, capsys, tmp_path):
         bad = FIXTURE_PATH.read_text().replace(
@@ -307,7 +307,7 @@ class TestBuildOptimize:
         assert rc == 0
         assert out.splitlines()[0] == "candidate outputs: 18221"
         graph = parse_graph(out_path.read_text())
-        assert len(graph.states) == 221
+        assert len(graph.states) == 182
         assert verify_graph(graph).ok
         rc, out, _ = run(capsys, "eta", str(out_path))
         assert rc == 0

@@ -14,10 +14,14 @@ orientation and, when both orientations are admissible, the one whose
 forced element matches the printed label or its reverse.  All labels are
 then respelled in canonical minimal form under the reference weights.
 Special end-of-input transitions are attached at the empty buffer by
-builder.attach_specials, as in the builder: one for every nonempty
-minimal form of at most eight letters in the closure of b.
+builder.attach_specials, as in the builder: one transition for every
+nonempty minimal form of at most eight letters in the closure of b.
 
 Run from the repository root:  python3 tools/make_fixture.py
+It prints, besides the counts, one line per repaired row (input state,
+chunk, printed label and derived label) and one per row whose label was
+derived for the swapped successor, so each can be checked against the
+reference table; only the graph goes to the fixture file.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from grigorchuk.automaton import (CHUNK_PAIRS, Transition, TransducerGraph,  # noqa: E402
-                                  serialize_graph)
+                                  buffer_text, serialize_graph)
 from grigorchuk.builder import attach_specials  # noqa: E402
 from grigorchuk.minforms import TUNED_WEIGHTS  # noqa: E402
 from grigorchuk.words import (free_reduce, pair_in_section_image,  # noqa: E402
@@ -176,13 +180,16 @@ TABLE: list[tuple[tuple[str, str], list]] = [
 INPUT_STATES = [s for s, _ in TABLE]
 
 
-def build_fixture() -> tuple[TransducerGraph, dict[str, int]]:
+def build_fixture() -> tuple[TransducerGraph, dict[str, int], list[str]]:
+    """The fixture machine, its repair counts, and one provenance line per
+    repaired row and per row whose label fits the swapped successor."""
     graph = TransducerGraph(TUNED_WEIGHTS)
     forms = graph.forms
     for st in INPUT_STATES:
         graph.add_state(st, "input")
 
     stats = {"repaired": 0, "respelled": 0, "swapped": 0}
+    provenance: list[str] = []
     for state, rows in TABLE:
         for idx, (buffer, kind, label, succ) in enumerate(rows):
             chunk = CHUNK_PAIRS[idx]
@@ -208,13 +215,19 @@ def build_fixture() -> tuple[TransducerGraph, dict[str, int]]:
                     if element_of(cand[1]) in printed:
                         sc, word = cand
                         break
+            row = f"{buffer_text(state)} in {buffer_text(chunk)}"
             if element_of(word) not in (element_of(label),
                                         element_of(rev(label))):
                 stats["repaired"] += 1
+                provenance.append(f"repaired {row}: printed {label} -> "
+                                  f"derived {word}")
             elif word != label:
                 stats["respelled"] += 1
             if sc != succ:
                 stats["swapped"] += 1
+                provenance.append(f"swapped {row}: printed successor "
+                                  f"{buffer_text(succ)}, label derived for "
+                                  f"{buffer_text(sc)}")
             if buffer not in graph.states:
                 graph.add_state(buffer, "output")
             prior = graph.edge(buffer)
@@ -225,12 +238,12 @@ def build_fixture() -> tuple[TransducerGraph, dict[str, int]]:
                 prior.output, prior.dst = word, succ
             graph.add_transition(Transition(state, buffer, reads=chunk))
 
-    stats["specials"] = attach_specials(graph, [])
-    return graph, stats
+    stats["specials"] = attach_specials(graph)
+    return graph, stats, provenance
 
 
 def main() -> int:
-    graph, stats = build_fixture()
+    graph, stats, provenance = build_fixture()
 
     from grigorchuk.automaton import (first_loop_ratio, max_cycle_ratio,
                                       parse_graph, verify_graph)
@@ -243,6 +256,8 @@ def main() -> int:
     print(f"labels repaired: {stats['repaired']}, respelled: "
           f"{stats['respelled']}, successor orientation swapped: "
           f"{stats['swapped']}, specials: {stats['specials']}")
+    for line in provenance:
+        print("  " + line)
     print(f"verify: {len(report.violations)} violations, "
           f"{len(report.notes)} notes, {report.swapped_successors} "
           f"swapped successors accepted")
