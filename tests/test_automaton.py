@@ -274,6 +274,15 @@ class TestParsing:
         # the silent loops land on the wrong buffers; (-,b) itself is sound
         assert not any("(-,b)" in v for v in verify_graph(graph).violations)
 
+    def test_output_state_without_output_written(self, fixture_text):
+        # every output state no chunk reaches gets its state line, even
+        # one that emits nothing yet, so the file parses back to it
+        graph = parse_graph(fixture_text)
+        graph.add_state(("d", ""), "output")
+        text = serialize_graph(graph)
+        assert "state (d,-) output" in text.splitlines()
+        assert parse_graph(text).states == graph.states
+
     def test_index_keys_name_source_and_reads(self, fixture_graph):
         # the builder and the fixture generator retarget transitions after
         # adding them; the key must still name each one's source and reads
