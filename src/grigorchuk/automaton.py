@@ -83,17 +83,23 @@ class TransduceError(RuntimeError):
     """A run could not be completed on the given graph."""
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Transition:
+    """One edge of the machine, a value: an edit puts a replaced copy
+    under its key, and dataclasses.replace counts the copy's letters."""
+
     src: Buffer
     dst: Buffer
     reads: Buffer = ("", "")      # a chunk (xa, ya), a pad ("", u), or none
     output: str | None = None     # output label
+    # the letter counts, a b c d, of reads[0], reads[1] and the output
+    counts: tuple[tuple[int, ...], ...] = field(init=False, repr=False,
+                                                compare=False)
 
-    # the (reads, output) last counted, with their letter counts, a b c d
-    # per word: a class default, not a field, and one attribute, since a
-    # second added after construction costs each instance a full dict
-    _counted = None
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "counts", tuple(
+            tuple(word.count(ch) for ch in LETTERS)
+            for word in (*self.reads, self.output or "")))
 
     @property
     def special(self) -> bool:
@@ -103,15 +109,9 @@ class Transition:
 
     def weighs(self, w: Weight) -> tuple[int, int, int]:
         """Scaled weights of the two read words and the output, dotted from
-        their letter counts, which are taken again whenever a word changes."""
-        words = (self.reads, self.output)
-        counted = self._counted
-        if counted is None or counted[0] != words:
-            counted = self._counted = (words, tuple(
-                tuple(word.count(ch) for ch in LETTERS)
-                for word in (*self.reads, self.output or "")))
+        their letter counts."""
         wa, wb, wc, wd = w["a"], w["b"], w["c"], w["d"]
-        (a0, b0, c0, d0), (a1, b1, c1, d1), (a2, b2, c2, d2) = counted[1]
+        (a0, b0, c0, d0), (a1, b1, c1, d1), (a2, b2, c2, d2) = self.counts
         return (a0 * wa + b0 * wb + c0 * wc + d0 * wd,
                 a1 * wa + b1 * wb + c1 * wc + d1 * wd,
                 a2 * wa + b2 * wb + c2 * wc + d2 * wd)
@@ -184,9 +184,9 @@ class TransducerGraph:
         # every transition keyed by (src, reads), in insertion order
         self.transitions: dict[tuple[Buffer, Buffer], Transition] = {}
         self.forms = MinimalForms(weights)
-        # successor results keyed by their argument values, so a changed
-        # transition never reads a stale entry; the program's callers add
-        # one per transition key
+        # successor results keyed by their argument values, so a replaced
+        # transition looks up its own entry; the program's callers add one
+        # per transition key
         self.successor_memo: dict[tuple[Buffer, Buffer, str], Buffer] = {}
 
     # -- construction -------------------------------------------------------
@@ -250,10 +250,10 @@ def _numbered(lineno: int) -> Iterator[None]:
 def _read_transition(graph: TransducerGraph, tokens: list[str]
                      ) -> list[tuple[Buffer, Buffer]]:
     """Lay down a transition line's transitions, aimed at its target as
-    written, and return their keys.  A special, or an edge that only
-    reads, is one transition.  An edge that emits gives its source's
-    output state, or the middle buffer it reads into, one output
-    transition; a line that repeats it adds none."""
+    written, and return their keys.  A special, or an edge that only reads
+    or only emits, is one transition.  An edge that reads and emits gives
+    the middle buffer it reads into one output transition; a line that
+    repeats that output adds none."""
     directive = tokens[0]
     if "->" not in tokens:
         raise GraphFormatError("missing '->'")
@@ -286,33 +286,29 @@ def _read_transition(graph: TransducerGraph, tokens: list[str]
     if directive == "special" and src != START:
         raise GraphFormatError(f"special source {buffer_text(src)} is not "
                                f"the empty buffer {buffer_text(START)}")
-    if output is None or directive == "special":
+    if output is None or not reads[0]:
         graph.add_transition(
             Transition(src, target, reads=reads, output=output))
         return [(src, reads)]
-    keys = []
-    state = src
-    if reads[0]:
-        # the middle buffer, an output state keyed by its exact buffer (a
-        # swapped pair is a different vertex with its own label), is
-        # created here unless a state line above declared it
-        state = graph.successor(src, reads)
-        if state not in graph.states:
-            graph.add_state(state, "output")
-        elif graph.states[state] != "output":
-            raise GraphFormatError(f"middle buffer {buffer_text(state)} "
-                                   f"is a declared input state")
-        graph.add_transition(Transition(src, state, reads=reads))
-        keys.append((src, reads))
-    prior = graph.edge(state)
+    # the middle buffer, an output state keyed by its exact buffer (a
+    # swapped pair is a different vertex with its own label), is created
+    # here unless a state line above declared it
+    mid = graph.successor(src, reads)
+    if mid not in graph.states:
+        graph.add_state(mid, "output")
+    elif graph.states[mid] != "output":
+        raise GraphFormatError(f"middle buffer {buffer_text(mid)} "
+                               f"is a declared input state")
+    graph.add_transition(Transition(src, mid, reads=reads))
+    prior = graph.edge(mid)
     if prior is None:
-        graph.add_transition(Transition(state, target, output=output))
-        keys.append((state, ("", "")))
-    elif (prior.output, prior.dst) != (output, target):
+        graph.add_transition(Transition(mid, target, output=output))
+        return [(src, reads), (mid, ("", ""))]
+    if (prior.output, prior.dst) != (output, target):
         raise GraphFormatError(
-            f"duplicate state {buffer_text(state)} with conflicting "
+            f"duplicate state {buffer_text(mid)} with conflicting "
             f"output transitions")
-    return keys
+    return [(src, reads)]
 
 
 def parse_graph(text: str) -> TransducerGraph:

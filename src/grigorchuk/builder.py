@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .automaton import CHUNK_PAIRS, START, Buffer, Transition, TransducerGraph
 from .elements import Element, element_of, mul
@@ -97,9 +97,9 @@ def build(params: BuildParams, log: list[str] | None = None) -> TransducerGraph:
     delta = params.delta
 
     queue: deque[Buffer] = deque()
-    # the output transitions aimed at each queued buffer, so a buffer
-    # folded onto its swapped twin can hand them over
-    waiting: dict[Buffer, list[Transition]] = {}
+    # the sources of the output transitions aimed at each queued buffer,
+    # so a buffer folded onto its swapped twin can retarget them
+    waiting: dict[Buffer, list[Buffer]] = {}
 
     form_weight = forms.form_weight
     scanned = 0
@@ -178,8 +178,9 @@ def build(params: BuildParams, log: list[str] | None = None) -> TransducerGraph:
             continue
         twin = (buf[1], buf[0])
         if twin in graph.states and buf not in chunk_targets:
-            for t in waiting.pop(buf, ()):
-                t.dst = twin
+            for src in waiting.pop(buf, ()):
+                graph.transitions[src, ("", "")] = replace(graph.edge(src),
+                                                           dst=twin)
             continue
         if len(graph.states) >= params.budget:
             raise RuntimeError("budget exceeded")
@@ -192,10 +193,9 @@ def build(params: BuildParams, log: list[str] | None = None) -> TransducerGraph:
             twin = (succ[1], succ[0])
             fold = twin in graph.states and succ not in graph.states
             dst = twin if fold and succ not in chunk_targets else succ
-            out = Transition(buf, dst, output=word)
-            graph.add_transition(out)
+            graph.add_transition(Transition(buf, dst, output=word))
             if dst == succ:
-                waiting.setdefault(succ, []).append(out)
+                waiting.setdefault(succ, []).append(buf)
                 queue.append(succ)
             log.append(f"output {buf} emits {word} (q={q:.3f})")
         else:

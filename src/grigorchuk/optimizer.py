@@ -116,10 +116,10 @@ def trace_csv(trace: list[TraceRow]) -> str:
 
 
 def _cut(witness: CycleReport) -> Cut:
-    consumed = "".join("".join(t.reads) for t in witness.cycle)
-    emitted = "".join(t.output for t in witness.cycle if t.output is not None)
-    return (tuple(consumed.count(ch) for ch in LETTERS),
-            tuple(emitted.count(ch) for ch in LETTERS))
+    """The witness cycle's letter counts, a b c d, read and written."""
+    read0, read1, written = zip(*(t.counts for t in witness.cycle))
+    return (tuple(map(sum, zip(*read0, *read1))),
+            tuple(map(sum, zip(*written))))
 
 
 def _ratio(cut: Cut, weights) -> Fraction:

@@ -1,6 +1,7 @@
 """Tests for the transducer graph: parsing, verification, cycle analysis,
 and word transduction against the bundled machine."""
 
+import dataclasses
 import hashlib
 import importlib.util
 import math
@@ -174,6 +175,21 @@ def replay_edges(n, edges):
     return eta
 
 
+def replaced(graph, src, reads=("", ""), **changes):
+    """Edit the transition leaving src that reads reads, by default the
+    output transition of src: a transition is a value, so a changed copy
+    goes under its key."""
+    graph.transitions[src, reads] = dataclasses.replace(
+        graph.transitions[src, reads], **changes)
+
+
+@pytest.fixture(scope="module")
+def valley_graph():
+    """The VALLEY build at max_len=12."""
+    valley = parse_weights("a=1 b=2.7 c=2.0 d=1.3")
+    return build(BuildParams(initial_weight=valley, max_len=12))
+
+
 def random_pair(rng, max_len=14):
     """A pair in the image of psi: psi of a random even-a-count word."""
     while True:
@@ -283,12 +299,11 @@ class TestParsing:
         assert "state (d,-) output" in text.splitlines()
         assert parse_graph(text).states == graph.states
 
-    def test_index_keys_name_source_and_reads(self, fixture_graph):
-        # the builder and the fixture generator retarget transitions after
-        # adding them; the key must still name each one's source and reads
-        valley = parse_weights("a=1 b=2.7 c=2.0 d=1.3")
-        graphs = [fixture_graph,
-                  build(BuildParams(initial_weight=valley, max_len=12)),
+    def test_index_keys_name_source_and_reads(self, fixture_graph,
+                                              valley_graph):
+        # the builder retargets a transition by putting a replaced copy
+        # under its key; each key must still name its source and reads
+        graphs = [fixture_graph, valley_graph,
                   load_make_fixture().build_fixture()[0]]
         for graph in graphs:
             assert all(key == (t.src, t.reads)
@@ -299,11 +314,21 @@ class TestParsing:
          "repeated transition at (-,-) reading (da,ca)"),
         (SHARED_MID + "special (-,-) pad (_,b) out d -> (-,-)\n", 15,
          "repeated transition at (-,-) reading (-,b)"),
-    ], ids=["edge", "special"])
+        (SHARED_MID + "edge (-,b) out d -> (-,-)\n", 15,
+         "repeated transition at (-,b) reading (-,-)"),
+    ], ids=["edge", "special", "output"])
     def test_repeated_transition_line(self, text, lineno, message):
         with pytest.raises(GraphFormatError) as info:
             parse_graph(text)
         assert str(info.value) == f"line {lineno}: {message}"
+
+    def test_every_repeated_line_refused(self, valley_graph):
+        # each line of a written machine declares a state or lays down a
+        # transition, so any line written twice is an error
+        lines = serialize_graph(valley_graph).splitlines(keepends=True)
+        for i, line in enumerate(lines):
+            with pytest.raises(GraphFormatError):
+                parse_graph("".join(lines[:i + 1] + [line] + lines[i + 1:]))
 
     @pytest.mark.parametrize("special_first", [False, True])
     def test_edge_output_at_pad_buffer_counts_toward_eta(self, special_first):
@@ -535,7 +560,7 @@ class TestVerification:
         # the pad
         graph = parse_graph(
             SHARED_MID + "state (-,d) output\nedge (-,d) out aca -> (-,-)\n")
-        graph.edge(START, ("", "b")).dst = ("", "d")
+        replaced(graph, START, ("", "b"), dst=("", "d"))
         assert [v for v in verify_graph(graph).violations if "pad" in v] \
             == ["pad 'b' at (-,-) should reach (-,-), found (-,d)"]
 
@@ -577,8 +602,7 @@ class TestVerification:
         # the file format writes a read and an emission as two lines
         # through the middle buffer, here the input state (da,da)
         graph = parse_graph(fixture_text)
-        t = graph.edge(START, ("da", "da"))
-        t.output, t.dst = "adab", ("aca", "ba")
+        replaced(graph, START, ("da", "da"), output="adab", dst=("aca", "ba"))
         assert verify_graph(graph).violations == [
             "output 'adab' at (-,-) also reads (da,da)"]
         with pytest.raises(GraphFormatError,
@@ -615,9 +639,9 @@ class TestVerification:
     # each corruption of the parsed fixture, made in code, trips one check;
     # (adad,adad) is the output state behind (da,da)'s (da,da) edge
     @pytest.mark.parametrize("corrupt, message", [
-        (lambda g: setattr(g.edge(("adad", "adad")), "output", "acacac"),
+        (lambda g: replaced(g, ("adad", "adad"), output="acacac"),
          "output 'acacac' at (adad,adad) has odd a-parity"),
-        (lambda g: setattr(g.edge(("adad", "adad")), "output", "acacacacdd"),
+        (lambda g: replaced(g, ("adad", "adad"), output="acacacacdd"),
          "output 'acacacacdd' at (adad,adad) is not weight-minimal"),
         (lambda g: g.add_transition(
             Transition(START, START, reads=("", "d"), output="d")),
@@ -635,9 +659,9 @@ class TestVerification:
             Transition(("dad", "da"), ("dad", "da"), reads=("", "b"),
                        output="d")),
          "output state (dad,da) has 1 chunk or pad transitions, expected 0"),
-        (lambda g: setattr(g.edge(START, ("", "b")), "output", "ab"),
+        (lambda g: replaced(g, START, ("", "b"), output="ab"),
          "output 'ab' at (-,-) has odd a-parity"),
-        (lambda g: setattr(g.edge(START, ("", "b")), "output", None),
+        (lambda g: replaced(g, START, ("", "b"), output=None),
          "special at (-,-) reads 'b' and writes no label"),
     ], ids=["odd-parity", "not-minimal", "pad-outside-b",
             "special-off-section-pair", "special-off-start", "eight-chunks",
@@ -671,8 +695,8 @@ class TestCycleRatio:
 
     def test_letter_counts_weigh_like_words(self, fixture_graph):
         # the engine weighs each transition by its letter counts, taken
-        # again when its words change; they must give word_weight of its
-        # words at any weights
+        # once when it is made; they must give word_weight of its words at
+        # any weights
         rng = random.Random(29)
         tried = 0
         while tried < 20:
@@ -687,14 +711,23 @@ class TestCycleRatio:
                                          word_weight(t.reads[1], w))
                 assert t.emitted(w) == word_weight(t.output or "", w)
 
+    def test_transition_is_a_value(self, fixture_graph):
+        # no field can be assigned; a replaced copy counts its own letters
+        t = fixture_graph.edge(START, ("da", "da"))
+        for f in dataclasses.fields(Transition):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(t, f.name, getattr(t, f.name))
+        assert dataclasses.replace(t, output="aca").counts \
+            == (*t.counts[:2], (2, 0, 1, 0))
+
     def test_relabelled_transition_reweighs(self, fixture_text):
-        # an output label may change after insertion; the letter counts
-        # must follow it, as a reparse of the relabelled graph does
+        # a relabelled copy under the old key weighs its new label, as a
+        # reparse of the relabelled graph does
         graph = parse_graph(fixture_text)
         assert max_cycle_ratio(graph)[1].eta == Fraction(6651, 1571)
-        out = graph.edge(("aba", "da"))
-        assert out.output == "caba"
-        out.output = "caba" + "dadadada"  # (da)^4 is trivial
+        assert graph.edge(("aba", "da")).output == "caba"
+        # (da)^4 is trivial
+        replaced(graph, ("aba", "da"), output="caba" + "dadadada")
         eta = max_cycle_ratio(graph)[1].eta
         assert eta == Fraction(1605, 293)
         assert max_cycle_ratio(
@@ -712,7 +745,7 @@ class TestCycleRatio:
          "no second (da,da) edge"),
         (lambda g: g.transitions.pop((("adad", "adad"), ("", ""))),
          "the (da,da)(da,da) path does not close up"),
-        (lambda g: setattr(g.edge(("adad", "adad")), "dst", ("da", "da")),
+        (lambda g: replaced(g, ("adad", "adad"), dst=("da", "da")),
          "the (da,da)(da,da) path does not close up"),
     ], ids=["no-first", "no-second", "no-output", "output-dst"])
     def test_first_loop_ratio_on_broken_loop(self, fixture_text, corrupt,
@@ -780,9 +813,9 @@ class TestCycleRatio:
 # neither orientation of the true buffer, then a step taken away.
 DADA_OUTPUT = "cacabacacabacacacacabacacabacacacacacaca"
 MISMATCHES = [
-    (lambda g: setattr(g.edge(("", ""), ("da", "da")), "dst", ("ca", "ca")),
+    (lambda g: replaced(g, START, ("da", "da"), dst=("ca", "ca")),
      "stuck: successor buffer mismatch after chunk ('da', 'da')"),
-    (lambda g: setattr(g.edge(("adad", "adad")), "dst", ("da", "da")),
+    (lambda g: replaced(g, ("adad", "adad"), dst=("da", "da")),
      "stuck: successor buffer mismatch after 'acacacac'"),
 ]
 STUCK = [
@@ -790,7 +823,7 @@ STUCK = [
      "stuck: no chunk edge ('da', 'da') at (-,-)"),
     (lambda g: g.transitions.pop((("adad", "adad"), ("", ""))),
      "stuck: no output transition at (adad,adad)"),
-    (lambda g: setattr(g.edge(("adad", "adad")), "output", "acacac"),
+    (lambda g: replaced(g, ("adad", "adad"), output="acacac"),
      "stuck: output 'acacac' at (adad,adad) has odd a-parity"),
 ]
 
@@ -837,7 +870,7 @@ class TestTransduce:
 
     @pytest.mark.parametrize("corrupt, message", MISMATCHES + STUCK + [
         # a new label moves the true buffer off the stored successor
-        (lambda g: setattr(g.edge(("adad", "adad")), "output", "acac"),
+        (lambda g: replaced(g, ("adad", "adad"), output="acac"),
          "stuck: successor buffer mismatch after 'acac'"),
     ], ids=["chunk-dst", "output-dst", "no-chunk-edge", "no-output",
             "odd-output", "output-label"])
@@ -857,7 +890,7 @@ class TestTransduce:
     @pytest.mark.parametrize("label", ["abadaba", "ab"])
     def test_run_check_catches_a_wrong_special(self, fixture_text, label):
         graph = parse_graph(fixture_text)
-        graph.edge(START, ("", "b")).output = label
+        replaced(graph, START, ("", "b"), output=label)
         with pytest.raises(TransduceError) as err:
             transduce(graph, ("", "b"))
         assert str(err.value) == "not in the section image: run check failed"

@@ -228,14 +228,14 @@ def build_fixture() -> tuple[TransducerGraph, dict[str, int], list[str]]:
                 provenance.append(f"swapped {row}: printed successor "
                                   f"{buffer_text(succ)}, label derived for "
                                   f"{buffer_text(sc)}")
+            out = Transition(buffer, succ, output=word)
             if buffer not in graph.states:
                 graph.add_state(buffer, "output")
-            prior = graph.edge(buffer)
-            if prior is None:
-                graph.add_transition(Transition(buffer, succ, output=word))
+                graph.add_transition(out)
             else:
-                # keep the later table row, matching the reference sheet
-                prior.output, prior.dst = word, succ
+                # rows sharing a middle buffer derive one output, as the
+                # parser asks of lines that share one
+                assert graph.edge(buffer) == out, (state, chunk, out)
             graph.add_transition(Transition(state, buffer, reads=chunk))
 
     stats["specials"] = attach_specials(graph)
