@@ -247,13 +247,14 @@ def _numbered(lineno: int) -> Iterator[None]:
         raise GraphFormatError(f"line {lineno}: {exc}") from None
 
 
-def _read_transition(graph: TransducerGraph, tokens: list[str]
-                     ) -> list[tuple[Buffer, Buffer]]:
+def _read_transition(graph: TransducerGraph, tokens: list[str],
+                     combined: set[Buffer]) -> list[tuple[Buffer, Buffer]]:
     """Lay down a transition line's transitions, aimed at its target as
     written, and return their keys.  A special, or an edge that only reads
     or only emits, is one transition.  An edge that reads and emits gives
     the middle buffer it reads into one output transition; a line that
-    repeats that output adds none."""
+    repeats that output adds none.  combined holds the middle buffers
+    whose output such lines laid down, the only outputs they may share."""
     directive = tokens[0]
     if "->" not in tokens:
         raise GraphFormatError("missing '->'")
@@ -300,10 +301,13 @@ def _read_transition(graph: TransducerGraph, tokens: list[str]
         raise GraphFormatError(f"middle buffer {buffer_text(mid)} "
                                f"is a declared input state")
     graph.add_transition(Transition(src, mid, reads=reads))
-    prior = graph.edge(mid)
-    if prior is None:
+    # the first such line to reach mid lays down its output, which
+    # add_transition refuses as a repeat if an output line above did
+    if mid not in combined:
         graph.add_transition(Transition(mid, target, output=output))
+        combined.add(mid)
         return [(src, reads), (mid, ("", ""))]
+    prior = graph.edge(mid)
     if (prior.output, prior.dst) != (output, target):
         raise GraphFormatError(
             f"duplicate state {buffer_text(mid)} with conflicting "
@@ -326,6 +330,8 @@ def parse_graph(text: str) -> TransducerGraph:
     graph: TransducerGraph | None = None
     # the line that laid down each transition, for the target sweep
     line_of: dict[tuple[Buffer, Buffer], int] = {}
+    # the middle buffers whose output a line that reads and emits laid down
+    combined: set[Buffer] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split("#", 1)[0].split()
         if not tokens:
@@ -356,7 +362,7 @@ def parse_graph(text: str) -> TransducerGraph:
                     if graph.forms.minimal_form(comp) != comp:
                         raise GraphFormatError(f"non-minimal buffer word {comp!r}")
             elif directive in GRAMMAR:
-                for key in _read_transition(graph, tokens):
+                for key in _read_transition(graph, tokens, combined):
                     line_of[key] = lineno
             else:
                 raise GraphFormatError(f"unknown directive {directive!r}")

@@ -322,6 +322,24 @@ class TestParsing:
             parse_graph(text)
         assert str(info.value) == f"line {lineno}: {message}"
 
+    def test_output_line_then_combined_line_refused(self, fixture_text):
+        # (adad,adad) is the middle buffer of the (da,da) edge reading
+        # (da,da); its output written on a line of its own and again by
+        # that combined line is written twice, and the combined line, the
+        # second to write it, is refused
+        lines = fixture_text.splitlines(keepends=True)
+        first = next(i for i, line in enumerate(lines)
+                     if line.startswith("edge "))
+        text = "".join(lines[:first] + [
+            "state (adad,adad) output\n",
+            "edge (adad,adad) out acacacac -> (-,-)\n"] + lines[first:])
+        assert text.splitlines()[24].startswith(
+            "edge (da,da) in (da,da) out acacacac ")
+        with pytest.raises(GraphFormatError) as info:
+            parse_graph(text)
+        assert str(info.value) \
+            == "line 25: repeated transition at (adad,adad) reading (-,-)"
+
     def test_every_repeated_line_refused(self, valley_graph):
         # each line of a written machine declares a state or lays down a
         # transition, so any line written twice is an error

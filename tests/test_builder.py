@@ -21,17 +21,48 @@ from grigorchuk import (
     words_equal,
 )
 from grigorchuk import elements
-from grigorchuk.builder import _candidates, _score
-from grigorchuk.elements import ATOMS, cache_sizes, segment_element
+from grigorchuk.builder import _best_output, _candidates, _score
+from grigorchuk.elements import ATOMS, cache_sizes, mul, segment_element
 from grigorchuk.minforms import (SCALE, UNIT_WEIGHTS, MinimalForms,
                                  parse_weights, word_weight)
-from grigorchuk.words import in_H, segment_sections, segments
+from grigorchuk.words import in_H, rev, segment_sections, segments
 
 from conftest import assert_no_special_only_states, replay_certificate
 
 # weights under which the construction lands on its lowest measured cycle
 # ratio; several build tests share one graph because a build takes seconds
 VALLEY = parse_weights("a=1 b=2.7 c=2.0 d=1.3")
+
+
+def flat_best_output(buf, forms, candidates, threshold, delta):
+    """The reference for builder._best_output: one pass over the
+    candidates in order, scoring each against the running floor, with no
+    bound but the weight bound that ends the scan.  Returns the best
+    (element, quality) or None, the number of candidates scanned and the
+    indices at which the floor rose."""
+    elements, _, _, runs = candidates
+    weights = [w for start, end, w, _ in runs for _ in range(start, end)]
+    e0, e1 = element_of(rev(buf[0])), element_of(rev(buf[1]))
+    w0 = word_weight(buf[0], forms.weights)
+    w1 = word_weight(buf[1], forms.weights)
+    total = w0 + w1
+    bonus = delta * abs(w0 - w1) / SCALE
+    floor = threshold - 1e-12
+    best, wins = None, []
+    for i, (cand, weight) in enumerate(zip(elements, weights)):
+        if total / weight + bonus <= floor:
+            return best, i, wins
+        if i == 0:
+            forms.extend(total + SCALE)
+        o0 = forms.form_weight.get(mul(e0, cand.left))
+        o1 = forms.form_weight.get(mul(e1, cand.right))
+        if o0 is None or o1 is None:
+            continue
+        q = _score(w0, w1, o0, o1, weight, delta)
+        if q > floor:
+            best, floor = (cand, q), q + 1e-12
+            wins.append(i)
+    return best, len(weights), wins
 
 
 @pytest.fixture(scope="module")
@@ -153,20 +184,50 @@ class TestBuild:
         _, log = valley_build
         assert log[0] == "candidate outputs: 18221"
         assert any(line.startswith("output ") for line in log)
+        assert log[-3] == "candidate products: 17394"
         assert log[-2] == "states: 182 (19 input), specials attached: 39"
         assert log[-1] == "candidates scanned: 142578"
 
     def test_candidates_weight_sorted(self):
-        # both cuts in best_output stop the scan on this order
-        weights = [w for _, w, _, _ in _candidates(MinimalForms(VALLEY), 12)]
+        # every cut in _best_output stops the scan on this order; the runs
+        # are the contiguous slices of one weight each, rising, and
+        # together they hold every candidate once
+        forms = MinimalForms(VALLEY)
+        elements, _, _, runs = _candidates(forms, 12)
+        weights = [forms.form_weight[e] for e in elements]
         assert weights == sorted(weights)
+        assert [start for start, _, _, _ in runs] \
+            == [0] + [end for _, end, _, _ in runs[:-1]]
+        assert runs[-1][1] == len(weights)
+        assert [w for start, end, w, _ in runs
+                for _ in range(start, end)] == weights
+        assert len({w for _, _, w, _ in runs}) == len(runs)
+
+    def test_candidate_signatures(self):
+        # within a run the candidates are grouped by their sections'
+        # weights, one group per signature in first-seen order, each in
+        # candidate order
+        _, lefts, rights, runs = _candidates(MinimalForms(VALLEY), 12)
+        signatures = 0
+        for start, end, _, groups in runs:
+            members = [i for _, _, group in groups for i in group]
+            assert sorted(members) == list(range(start, end))
+            assert [group[0] for _, _, group in groups] \
+                == sorted(group[0] for _, _, group in groups)
+            for a0, a1, group in groups:
+                assert group == sorted(group)
+                assert {(lefts[i], rights[i]) for i in group} == {(a0, a1)}
+            assert len({(a0, a1) for a0, a1, _ in groups}) == len(groups)
+            signatures += len(groups)
+        assert (len(runs), signatures) == (58, 328)
 
     def test_candidate_sections(self):
         # each candidate's element has its word's sections as children, and
-        # the tuple holds their form weights for the scan's triangle bound;
+        # the lists hold their form weights for the scan's triangle bound;
         # the segment-form sections are the independent string reference
         forms = MinimalForms(VALLEY)
-        for e, _, left_weight, right_weight in _candidates(forms, 12):
+        elements, lefts, rights, _ = _candidates(forms, 12)
+        for e, left_weight, right_weight in zip(elements, lefts, rights):
             word = forms.table[e]
             _, s0, s1 = segment_sections(segments(word))
             assert e.left is segment_element(s0)
@@ -181,11 +242,13 @@ class TestBuild:
         # the candidates are the nonempty forms in H, in settle order, each
         # weighed as its word
         forms = MinimalForms(VALLEY)
-        candidates = _candidates(forms, 12)
-        words = [forms.table[e] for e, _, _, _ in candidates]
+        elements, _, _, runs = _candidates(forms, 12)
+        words = [forms.table[e] for e in elements]
         assert words == [v for v in forms.enumerate_forms(12, in_H) if v]
-        assert len(candidates) == 862
-        for word, (_, weight, _, _) in zip(words, candidates):
+        assert len(elements) == 862
+        weights = [w for start, end, w, _ in runs
+                   for _ in range(start, end)]
+        for word, weight in zip(words, weights):
             assert in_H(word)
             assert weight == word_weight(word, VALLEY)
 
@@ -258,3 +321,51 @@ class TestBuild:
     def test_budget_exceeded(self):
         with pytest.raises(RuntimeError, match="budget exceeded"):
             build(BuildParams(initial_weight=VALLEY, budget=50))
+
+
+class TestScan:
+    # the indexed scan against the flat reference on random buffers: the
+    # same winner (the same element object), quality and scanned count
+    @pytest.mark.parametrize("weights, eta_prime, delta", [
+        (VALLEY, 4.0, 0.01),
+        (dict(UNIT_WEIGHTS), 4.0, 0.01),
+        (parse_weights("a=1 b=3.33 c=2.8 d=1.06"), 3.5, 0.01),
+        (parse_weights("a=1 b=2.5 c=2.2 d=1.4"), 3.2, 0.05),
+    ], ids=["valley", "unit", "b3.33-c2.8-d1.06", "b2.5-eta-prime-3.2"])
+    def test_indexed_scan_is_the_flat_scan(self, weights, eta_prime, delta):
+        forms = MinimalForms(weights)
+        candidates = _candidates(forms, 12)
+        # random pairs of canonical forms up to weight 10 a side, the
+        # empty word among them, alternating with the section pairs of
+        # random candidates, which that candidate clears in full: its
+        # quality then meets the weight bound, so the scan stops at once
+        # (within a run unless it won on the run's last member)
+        pool = [v for e, v in forms.table.items()
+                if forms.form_weight[e] <= 10 * SCALE]
+        rng = random.Random(f"{sorted(weights.items())}")
+        elements, _, _, runs = candidates
+        ends = {i: end for start, end, _, _ in runs
+                for i in range(start, end)}
+        starts = {start for start, _, _, _ in runs}
+        last_member_wins = mid_run_stops = 0
+        for k in range(200):
+            if k % 2:
+                buf = (rng.choice(pool), rng.choice(pool))
+            else:
+                e = rng.choice(elements)
+                buf = (forms.table[e.left], forms.table[e.right])
+            best, scanned, wins = flat_best_output(
+                buf, forms, candidates, 1 / eta_prime, delta)
+            got, got_scanned, products = _best_output(
+                buf, forms, candidates, 1 / eta_prime, delta)
+            assert got_scanned == scanned
+            if best is None:
+                assert got is None
+            else:
+                assert got[0] is best[0] and got[1] == best[1]
+            # at most two products per candidate scanned
+            assert products <= 2 * scanned
+            last_member_wins += any(i + 1 == ends[i] for i in wins)
+            mid_run_stops += bool(wins) and scanned not in starts \
+                and scanned < len(elements)
+        assert last_member_wins and mid_run_stops
