@@ -42,7 +42,6 @@ cycle exceeds it.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -59,6 +58,7 @@ Buffer = tuple[str, str]
 
 # The nine chunk pairs an input state consumes, (xa, ya) for x, y in {b,c,d}.
 CHUNK_PAIRS = [(x + "a", y + "a") for x in "dcb" for y in "dcb"]
+_CHUNK_SET = frozenset(CHUNK_PAIRS)
 
 LAMBDA = "-"
 PAD = "_"
@@ -197,11 +197,43 @@ class TransducerGraph:
         self.states[buffer] = kind
 
     def add_transition(self, t: Transition) -> None:
-        if (t.src, t.reads) in self.transitions:
-            raise GraphFormatError(f"repeated transition at "
-                                   f"{buffer_text(t.src)} reading "
-                                   f"{buffer_text(t.reads)}")
-        self.transitions[t.src, t.reads] = t
+        """Add t under its key (src, reads); the one gate for its shape.
+
+        A chunk edge reads a pair in CHUNK_PAIRS and writes nothing, an
+        output reads nothing and writes a label, and a special reads a pad
+        ("", u), u nonempty, at START and writes a label.  The source must
+        be a declared state of the kind the reads imply and the key free;
+        anything else raises GraphFormatError.  Targets may be declared
+        later, so they are not checked.  A direct write to ``transitions``
+        skips the gate: the builder's retarget and a label edit put a copy
+        under an existing key, which changes no shape.
+        """
+        src, reads, output = t.src, t.reads, t.output
+        if reads[0]:
+            if reads not in _CHUNK_SET:
+                bad = next(p for p in reads
+                           if p not in {x for x, _ in CHUNK_PAIRS})
+                raise GraphFormatError(f"chunk {bad!r} is not of the form xa")
+            if output is not None:
+                raise GraphFormatError(
+                    f"output {output!r} at {buffer_text(src)} also reads "
+                    f"{buffer_text(reads)}")
+        elif output is None:
+            what = f"pad {reads[1]!r}" if reads[1] else "nothing"
+            raise GraphFormatError(f"transition at {buffer_text(src)} reads "
+                                   f"{what} and writes no label")
+        kind = "output" if reads == ("", "") else "input"
+        if self.states.get(src) != kind:
+            raise GraphFormatError(
+                f"{'special' if t.special else 'edge'} source "
+                f"{buffer_text(src)} is not a declared {kind} state")
+        if src != START and t.special:
+            raise GraphFormatError(f"special source {buffer_text(src)} is not "
+                                   f"the empty buffer {buffer_text(START)}")
+        if (src, reads) in self.transitions:
+            raise GraphFormatError(f"repeated transition at {buffer_text(src)}"
+                                   f" reading {buffer_text(reads)}")
+        self.transitions[src, reads] = t
 
     def edge(self, src: Buffer, reads: Buffer = ("", "")) -> Transition | None:
         """The transition leaving src that reads the pair reads; by
@@ -268,9 +300,9 @@ def _read_transition(graph: TransducerGraph, tokens: list[str],
     reads = ("", "")
     if "in" in labels:
         reads = _text_to_buffer(labels["in"])
-        if reads not in CHUNK_PAIRS:
-            bad = next(p for p in reads if p not in {x for x, _ in CHUNK_PAIRS})
-            raise GraphFormatError(f"chunk {bad!r} is not of the form xa")
+        # read on the first stream, it cannot pass for a pad or for nothing
+        if not reads[0]:
+            raise GraphFormatError(f"malformed in label {labels['in']!r}")
     elif "pad" in labels:
         consumed = labels["pad"][1:-1].partition(",")[2]
         check_word(consumed)
@@ -280,13 +312,6 @@ def _read_transition(graph: TransducerGraph, tokens: list[str],
         reads = ("", consumed)
     output = labels.get("out")
     check_word(output or "")
-    kind = "output" if reads == ("", "") else "input"
-    if graph.states.get(src) != kind:
-        raise GraphFormatError(f"{directive} source {buffer_text(src)} is not "
-                               f"a declared {kind} state")
-    if directive == "special" and src != START:
-        raise GraphFormatError(f"special source {buffer_text(src)} is not "
-                               f"the empty buffer {buffer_text(START)}")
     if output is None or not reads[0]:
         graph.add_transition(
             Transition(src, target, reads=reads, output=output))
@@ -295,14 +320,12 @@ def _read_transition(graph: TransducerGraph, tokens: list[str],
     # swapped pair is a different vertex with its own label), is created
     # here unless a state line above declared it
     mid = graph.successor(src, reads)
+    graph.add_transition(Transition(src, mid, reads=reads))
     if mid not in graph.states:
         graph.add_state(mid, "output")
-    elif graph.states[mid] != "output":
-        raise GraphFormatError(f"middle buffer {buffer_text(mid)} "
-                               f"is a declared input state")
-    graph.add_transition(Transition(src, mid, reads=reads))
     # the first such line to reach mid lays down its output, which
-    # add_transition refuses as a repeat if an output line above did
+    # add_transition refuses as a repeat if an output line above did, and
+    # as an edge from an input state if mid is one
     if mid not in combined:
         graph.add_transition(Transition(mid, target, output=output))
         combined.add(mid)
@@ -318,14 +341,13 @@ def _read_transition(graph: TransducerGraph, tokens: list[str],
 def parse_graph(text: str) -> TransducerGraph:
     """Parse the line-oriented graph format; raise GraphFormatError early.
 
-    Structural requirements enforced here: a weights line first, unique
-    state declarations, canonical buffer words, START as the one flagged
-    state, nine chunk successors per input state, no chunk or pad read
-    twice from one state, transition lines shaped as GRAMMAR says and
-    below their source's state line, specials only at START, and every
-    target a state exactly as declared or created, by any line.  A bad
-    line raises GraphFormatError naming it, whatever the cause: bad
-    words, repeated transitions, non-triangular weights.
+    Checked here: a weights line first, unique state declarations,
+    canonical buffer words, START as the one flagged state, lines shaped
+    as GRAMMAR says, nine chunk successors per input state, and every
+    target a state as declared or created, by any line.  Each transition
+    goes through TransducerGraph.add_transition, which refuses a bad
+    shape.  A bad line raises GraphFormatError naming it, whatever the
+    cause: bad words, a refused transition, non-triangular weights.
     """
     graph: TransducerGraph | None = None
     # the line that laid down each transition, for the target sweep
@@ -385,28 +407,34 @@ def parse_graph(text: str) -> TransducerGraph:
                     f"edge reaches output state {buffer_text(t.dst)}, "
                     f"not its middle buffer {buffer_text(mid)}")
 
-    for buffer, kind in graph.states.items():
-        chunks = sum((buffer, c) in graph.transitions for c in CHUNK_PAIRS)
-        if kind == "input" and chunks != 9:
-            raise GraphFormatError(
-                f"wrong successor count at {buffer_text(buffer)}: "
-                f"{chunks} chunk edges, expected 9")
+    for message in _chunk_shortfalls(graph):
+        raise GraphFormatError(message)
     return graph
+
+
+def _chunk_shortfalls(graph: TransducerGraph) -> Iterator[str]:
+    """A message for each input state without all nine chunk edges."""
+    for buffer, kind in graph.states.items():
+        if kind == "input":
+            chunks = sum((buffer, c) in graph.transitions for c in CHUNK_PAIRS)
+            if chunks != 9:
+                yield (f"input state {buffer_text(buffer)} has {chunks} "
+                       f"chunk successors, expected 9")
 
 
 def serialize_graph(graph: TransducerGraph) -> str:
     """Canonical text form; parse . serialize is the identity on outputs.
 
-    Output states reached by a chunk edge stay implicit inside combined
-    edge lines; an output state only reachable from another output state
-    is declared explicitly with its own output edge line.
+    An output state that a chunk edge reaches and that emits stays
+    implicit inside that edge's combined line; every other output state
+    gets a state line, and its output, if any, a line of its own.
     """
     lines = ["weights " + format_weights(graph.weights)]
     transitions = graph.transitions.values()
     # only a chunk edge reads on the first stream
     chunk_edges = [t for t in transitions if t.reads[0]]
     chunk_covered = {t.dst for t in chunk_edges
-                     if graph.states[t.dst] == "output"}
+                     if graph.edge(t.dst) is not None}
     for b, kind in graph.states.items():
         if kind == "input":
             lines.append(" ".join(["state", buffer_text(b), kind,
@@ -415,7 +443,7 @@ def serialize_graph(graph: TransducerGraph) -> str:
         if kind == "output" and b not in chunk_covered:
             lines.append(f"state {buffer_text(b)} output")
     for t in chunk_edges:
-        out = graph.edge(t.dst) if graph.states[t.dst] == "output" else None
+        out = graph.edge(t.dst)
         if out is None:
             lines.append(f"edge {buffer_text(t.src)} in "
                          f"{buffer_text(t.reads)} -> {buffer_text(t.dst)}")
@@ -440,16 +468,13 @@ def serialize_graph(graph: TransducerGraph) -> str:
 # --- verification -----------------------------------------------------------
 
 def verify_graph(graph: TransducerGraph) -> VerificationReport:
-    """Check every structural and group-theoretic requirement; report all.
+    """Check what add_transition's shape rules do not; report all.
 
-    Every transition must leave a declared state and reach
+    START must be an input state.  Every transition must reach
     graph.successor of its source, reading its chunk or pad and writing
-    its output, and that target must be a declared state.  Output labels
-    must be parity-even and weight-minimal, and may not sit on a chunk
-    edge.  A special, one transition reading a pad and writing a label,
-    must leave the input state START, read a pad in the closure of b and
-    write a label.  Input states need nine chunk successors and no
-    output, and output states exactly one output and no chunk or pad.  A
+    its label, and that target must be a declared state.  Labels must be
+    parity-even and weight-minimal, and pads in the closure of b.  Input
+    states need nine chunk successors, output states one output.  A
     successor stored with swapped components is accepted and counted,
     not flagged.
     """
@@ -463,78 +488,51 @@ def verify_graph(graph: TransducerGraph) -> VerificationReport:
 
     forms = graph.forms
     for t in graph.transitions.values():
-        src_name = buffer_text(t.src)
-        label = (f"pad {t.reads[1]!r}" if t.special else
-                 f"chunk {t.reads}" if t.output is None else
-                 f"output {t.output!r}")
-        if t.special:
-            pad = t.reads[1]
-            if not in_B(pad):
-                report.violations.append(
-                    f"special at {src_name} consumes {pad!r} outside the "
-                    f"closure of b")
-            if t.src != START:
-                report.violations.append(
-                    f"special attached at {src_name}, not at the empty "
-                    f"buffer {buffer_text(START)}")
-            if t.output is None:
-                report.violations.append(
-                    f"special at {src_name} reads {pad!r} and writes no label")
+        if t.special and not in_B(t.reads[1]):
+            report.violations.append(
+                f"special at {buffer_text(t.src)} consumes {t.reads[1]!r} "
+                f"outside the closure of b")
         if t.output is not None:
-            written = f"output {t.output!r}"
-            if t.reads[0]:
-                # the file format writes a read and an emission as two
-                # transitions through the middle buffer
-                report.violations.append(
-                    f"{written} at {src_name} also reads "
-                    f"{buffer_text(t.reads)}")
             if not in_H(t.output):
                 report.violations.append(
-                    f"{written} at {src_name} has odd a-parity")
+                    f"{_named(t, by_label=True)} has odd a-parity")
                 continue
             e = forms.settled(t.output)
             if word_weight(t.output, forms.weights) != forms.form_weight[e]:
                 report.violations.append(
-                    f"{written} at {src_name} is not weight-minimal")
+                    f"{_named(t, by_label=True)} is not weight-minimal")
             elif forms.table[e] != t.output:
-                report.notes.append(
-                    f"{written} at {src_name} is minimal-weight but not the "
-                    f"canonical spelling")
+                report.notes.append(f"{_named(t, by_label=True)} is "
+                                    f"minimal-weight but not the canonical "
+                                    f"spelling")
         expect = graph.successor(t.src, t.reads, t.output or "")
-        if t.dst == expect:
-            pass
-        elif t.dst == (expect[1], expect[0]):
-            report.swapped_successors += 1
-        else:
-            report.violations.append(
-                f"{label} at {src_name} should reach {buffer_text(expect)}, "
-                f"found {buffer_text(t.dst)}")
-        if t.src not in graph.states:
-            report.violations.append(
-                f"{label} leaves {src_name}, which is not a declared state")
+        if t.dst != expect:
+            if t.dst == (expect[1], expect[0]):
+                report.swapped_successors += 1
+            else:
+                report.violations.append(
+                    f"{_named(t)} should reach {buffer_text(expect)}, "
+                    f"found {buffer_text(t.dst)}")
         if t.dst not in graph.states:
             report.violations.append(
-                f"{label} at {src_name} reaches {buffer_text(t.dst)}, which "
-                f"is not a declared state")
+                f"{_named(t)} reaches {buffer_text(t.dst)}, which is not a "
+                f"declared state")
 
-    leaving = Counter(src for src, _ in graph.transitions)
-    for buffer, kind in graph.states.items():
-        outs = int(graph.edge(buffer) is not None)
-        name = f"{kind} state {buffer_text(buffer)}"
-        if kind == "input":
-            chunks = sum((buffer, c) in graph.transitions for c in CHUNK_PAIRS)
-            if chunks != 9:
-                report.violations.append(
-                    f"{name} has {chunks} chunk successors, expected 9")
-        elif leaving[buffer] > outs:
-            report.violations.append(
-                f"{name} has {leaving[buffer] - outs} chunk or pad "
-                f"transitions, expected 0")
-        expected = 1 if kind == "output" else 0
-        if outs != expected:
-            report.violations.append(
-                f"{name} has {outs} output transitions, expected {expected}")
+    report.violations.extend(_chunk_shortfalls(graph))
+    report.violations.extend(
+        f"output state {buffer_text(b)} has 0 output transitions, expected 1"
+        for b, kind in graph.states.items()
+        if kind == "output" and graph.edge(b) is None)
     return report
+
+
+def _named(t: Transition, by_label: bool = False) -> str:
+    """A transition as verify_graph's messages name it: by its pad, chunk
+    or label, or by its label alone, and where it leaves."""
+    what = (f"pad {t.reads[1]!r}" if t.special and not by_label else
+            f"chunk {t.reads}" if t.output is None else
+            f"output {t.output!r}")
+    return f"{what} at {buffer_text(t.src)}"
 
 
 # --- cycle-ratio engine -----------------------------------------------------

@@ -95,10 +95,12 @@ INPUT_MID = (
     + SILENT_LOOPS.replace("in (da,da) ->", "in (da,da) out cacacaca ->")
     + SILENT_LOOPS.replace("(-,-)", "(da,da)"))
 
+# Two input states, (-,-) and (-,b), with nine silent loops each.
+B_INPUT = (HEADER + "state (-,b) input\n" + SILENT_LOOPS
+           + SILENT_LOOPS.replace("(-,-)", "(-,b)"))
+
 # A special whose pad buffer (-,b) is a declared input state.
-INPUT_PAD_MID = (HEADER + "state (-,b) input\n" + SILENT_LOOPS
-                 + SILENT_LOOPS.replace("(-,-)", "(-,b)")
-                 + "special (-,-) pad (_,b) out d -> (-,-)\n")
+INPUT_PAD_MID = B_INPUT + "special (-,-) pad (_,b) out d -> (-,-)\n"
 
 # Characters a mutated line may gain: the format's own, a digit and a
 # letter outside the alphabet.
@@ -178,7 +180,8 @@ def replay_edges(n, edges):
 def replaced(graph, src, reads=("", ""), **changes):
     """Edit the transition leaving src that reads reads, by default the
     output transition of src: a transition is a value, so a changed copy
-    goes under its key."""
+    goes under its key.  The copy skips add_transition's shape gate, so an
+    edit changes a label or a target, never a shape."""
     graph.transitions[src, reads] = dataclasses.replace(
         graph.transitions[src, reads], **changes)
 
@@ -243,7 +246,9 @@ class TestParsing:
 
     def test_wrong_successor_count(self):
         lines = TOY.strip().splitlines()
-        with pytest.raises(GraphFormatError, match="wrong successor count"):
+        with pytest.raises(GraphFormatError,
+                           match=r"^input state \(-,-\) has 8 chunk "
+                                 r"successors, expected 9$"):
             parse_graph("\n".join(lines[:-1]))
 
     # bc is heavier than its form d; under unit weights dada weighs as
@@ -373,9 +378,12 @@ class TestParsing:
         ("special (-,-) pad (__,b) out d -> (-,-)", "malformed pad label"),
         ("special (-,-) pad (,) out d -> (-,-)", "malformed pad label '(,)'"),
         ("state (-,-) input", "duplicate state (-,-)"),
+        # read on the first stream, an in label cannot pass for a pad
+        ("edge (-,-) in (-,da) out d -> (-,-)", "malformed in label '(-,da)'"),
+        ("edge (-,-) in (-,-) -> (-,-)", "malformed in label '(-,-)'"),
     ], ids=["trailing-token", "bare-arrow", "missing-arrow", "output-letter",
             "buffer-letter", "source-kind", "pad-label", "empty-pad",
-            "duplicate-state"])
+            "duplicate-state", "in-label-pad", "in-label-empty"])
     def test_errors_name_the_line(self, line, message):
         text = HEADER + line + "\n" + SILENT_LOOPS
         with pytest.raises(GraphFormatError) as info:
@@ -419,12 +427,15 @@ class TestParsing:
         with pytest.raises(GraphFormatError, match=f"^line 1: {message}"):
             parse_graph(text)
 
+    # the line lays down its chunk edge, and the gate refuses the output it
+    # would give the input state (da,da)
     @pytest.mark.parametrize("text, lineno, mid", [
         (INPUT_MID, 4, "(da,da)")], ids=["edge"])
     def test_middle_buffer_must_not_be_input_state(self, text, lineno, mid):
         with pytest.raises(GraphFormatError,
-                           match=rf"^line {lineno}: middle buffer "
-                                 rf"{re.escape(mid)} is a declared input"):
+                           match=rf"^line {lineno}: edge source "
+                                 rf"{re.escape(mid)} is not a declared "
+                                 rf"output state$"):
             parse_graph(text)
 
     def test_pad_buffer_may_be_input_state(self):
@@ -535,6 +546,98 @@ class TestParsing:
             "pad 'b' at (-,-) should reach (b,b), found (-,-)"]
 
 
+class TestGate:
+    """add_transition refuses a malformed transition when it is added, and
+    the parser refuses the line that writes it with the same text."""
+
+    # (graph text, a line that writes the fault, the transition that line
+    # lays down, the message); the line goes at the end of the text
+    WRITABLE = [
+        (HEADER + SILENT_LOOPS, "edge (-,-) in (ad,da) -> (-,-)",
+         Transition(START, START, reads=("ad", "da")),
+         "chunk 'ad' is not of the form xa"),
+        (HEADER + SILENT_LOOPS, "edge (-,-) in (da,-) -> (-,-)",
+         Transition(START, START, reads=("da", "")),
+         "chunk '' is not of the form xa"),
+        (HEADER + SILENT_LOOPS, "edge (-,-) out ca -> (-,-)",
+         Transition(START, START, output="ca"),
+         "edge source (-,-) is not a declared output state"),
+        (HEADER + "state (d,-) output\n" + SILENT_LOOPS,
+         "edge (d,-) in (da,da) -> (-,-)",
+         Transition(("d", ""), START, reads=("da", "da")),
+         "edge source (d,-) is not a declared input state"),
+        (HEADER + SILENT_LOOPS, "edge (a,d) in (da,ca) -> (-,-)",
+         Transition(("a", "d"), START, reads=("da", "ca")),
+         "edge source (a,d) is not a declared input state"),
+        (HEADER + "state (d,-) output\n" + SILENT_LOOPS,
+         "special (d,-) pad (_,b) out d -> (-,-)",
+         Transition(("d", ""), START, reads=("", "b"), output="d"),
+         "special source (d,-) is not a declared input state"),
+        (B_INPUT, "special (-,b) pad (_,b) out d -> (-,-)",
+         Transition(("", "b"), START, reads=("", "b"), output="d"),
+         "special source (-,b) is not the empty buffer (-,-)"),
+        (HEADER + SILENT_LOOPS, "edge (-,-) in (da,ca) -> (-,-)",
+         Transition(START, START, reads=("da", "ca")),
+         "repeated transition at (-,-) reading (da,ca)"),
+    ]
+
+    @pytest.mark.parametrize("text, line, t, message", WRITABLE, ids=[
+        "chunk-shape", "chunk-half-empty", "output-at-input",
+        "chunk-at-output", "undeclared-source", "special-at-output",
+        "special-off-start", "repeat"])
+    def test_one_rule_one_text(self, text, line, t, message):
+        graph = parse_graph(text)
+        before = dict(graph.transitions)
+        with pytest.raises(GraphFormatError) as info:
+            graph.add_transition(t)
+        assert str(info.value) == message
+        assert graph.transitions == before
+        with pytest.raises(GraphFormatError) as info:
+            parse_graph(text + line + "\n")
+        lineno = len(text.splitlines()) + 1
+        assert str(info.value) == f"line {lineno}: {message}"
+
+    # no line can write the other faults: a chunk edge that also emits
+    # (TestVerification::test_chunk_with_output_caught), a transition that
+    # reads and writes nothing (test_empty_transition_refused) and a pad
+    # without a label (TestVerification::test_violation_texts)
+
+    def test_empty_transition_refused(self, fixture_text):
+        # (adad,adad) loses its output and is given one that reads and
+        # writes nothing: refused, so the state stays without an output,
+        # which verify_graph reports and a run stops at
+        graph = parse_graph(fixture_text)
+        mid = ("adad", "adad")
+        graph.transitions.pop((mid, ("", "")))
+        with pytest.raises(GraphFormatError,
+                           match=r"^transition at \(adad,adad\) reads "
+                                 r"nothing and writes no label$"):
+            graph.add_transition(Transition(mid, START))
+        assert graph.edge(mid) is None
+        assert verify_graph(graph).violations == [
+            "output state (adad,adad) has 0 output transitions, expected 1"]
+        with pytest.raises(TransduceError,
+                           match=r"^stuck: no output transition at "
+                                 r"\(adad,adad\)$"):
+            transduce(graph, ("dada", "dada"))
+
+    def test_output_state_without_output_round_trips(self, fixture_text):
+        # the chunk edge into (adad,adad) no longer emits, and the state
+        # is declared on a line of its own: it keeps that line when the
+        # graph is written, so the text parses back to itself
+        lines = fixture_text.splitlines(keepends=True)
+        assert lines[22].startswith("edge (da,da) in (da,da) out acacacac ")
+        lines[22] = "edge (da,da) in (da,da) -> (adad,adad)\n"
+        lines.insert(13, "state (adad,adad) output\n")
+        text = "".join(lines)
+        graph = parse_graph(text)
+        assert verify_graph(graph).violations == [
+            "output state (adad,adad) has 0 output transitions, expected 1"]
+        once = serialize_graph(graph)
+        assert once == text
+        assert serialize_graph(parse_graph(once)) == once
+
+
 class TestVerification:
     def test_fixture_verifies_clean(self, fixture_graph):
         report = verify_graph(fixture_graph)
@@ -585,12 +688,14 @@ class TestVerification:
 
     def test_input_state_with_output_caught(self):
         # the middle buffer of INPUT_MID's emitting edge, built in code:
-        # the chunk edge reaches the input state, which then emits
+        # the chunk edge reaches the input state, whose output is refused
         graph = parse_graph(INPUT_MID.replace("out cacacaca ", ""))
-        graph.add_transition(
-            Transition(("da", "da"), ("", ""), output="cacacaca"))
-        assert "input state (da,da) has 1 output transitions, expected 0" \
-            in verify_graph(graph).violations
+        with pytest.raises(GraphFormatError,
+                           match=r"^edge source \(da,da\) is not a declared "
+                                 r"output state$"):
+            graph.add_transition(
+                Transition(("da", "da"), ("", ""), output="cacacaca"))
+        assert graph.edge(("da", "da")) is None
 
     def test_missing_start_caught(self):
         # built in code without (-,-), a machine has nowhere to start runs
@@ -603,34 +708,33 @@ class TestVerification:
             transduce(graph, ("dada", "dada"))
 
     def test_chunk_at_output_state_caught(self, fixture_text):
-        # the edge reaches its successor, but an output state emits and
-        # reads nothing: written out, the graph would not parse again
+        # the edge would reach its successor, but an output state emits and
+        # reads nothing, so the gate refuses it as the parser does
         graph = parse_graph(fixture_text)
-        graph.add_transition(Transition(("dad", "da"), ("daba", "adad"),
-                                        reads=("ca", "da")))
-        assert verify_graph(graph).violations == [
-            "output state (dad,da) has 1 chunk or pad transitions, expected 0"]
         with pytest.raises(GraphFormatError,
-                           match=r"edge source \(dad,da\) is not a declared "
-                                 r"input state"):
-            parse_graph(serialize_graph(graph))
+                           match=r"^edge source \(dad,da\) is not a declared "
+                                 r"input state$"):
+            graph.add_transition(Transition(("dad", "da"), ("daba", "adad"),
+                                            reads=("ca", "da")))
+        assert serialize_graph(graph) == fixture_text
 
     def test_chunk_with_output_caught(self, fixture_text):
-        # the edge reaches its successor, a declared output state, but
-        # the file format writes a read and an emission as two lines
-        # through the middle buffer, here the input state (da,da)
+        # the edge would reach its successor, a declared output state, but
+        # a read and an emission are two transitions through the middle
+        # buffer, here the input state (da,da)
         graph = parse_graph(fixture_text)
-        replaced(graph, START, ("da", "da"), output="adab", dst=("aca", "ba"))
-        assert verify_graph(graph).violations == [
-            "output 'adab' at (-,-) also reads (da,da)"]
+        edge = graph.transitions.pop((START, ("da", "da")))
         with pytest.raises(GraphFormatError,
-                           match=r"^line 14: middle buffer \(da,da\) is a "
-                                 r"declared input state$"):
-            parse_graph(serialize_graph(graph))
+                           match=r"^output 'adab' at \(-,-\) also reads "
+                                 r"\(da,da\)$"):
+            graph.add_transition(dataclasses.replace(
+                edge, output="adab", dst=("aca", "ba")))
+        assert graph.edge(START, ("da", "da")) is None
 
     def test_undeclared_target_caught(self):
         # every edge reaches its successor, but no state holds it, so
-        # serialize_graph and max_cycle_ratio would fail on a KeyError
+        # max_cycle_ratio would fail on a KeyError and the written graph
+        # would not parse again
         graph = TransducerGraph(dict(UNIT_WEIGHTS))
         graph.add_state(START, "input")
         for chunk in CHUNK_PAIRS:
@@ -642,52 +746,57 @@ class TestVerification:
                                  "(da,da), which is not a declared state")
 
     def test_undeclared_source_caught(self, fixture_text):
-        # the edge reaches its successor, but leaves no state: written out,
-        # the graph would not parse again
+        # the edge would reach its successor, but leaves no state, so the
+        # gate refuses it as the parser does
         graph = parse_graph(fixture_text)
-        graph.add_transition(Transition(("a", "d"), ("ada", "ba"),
-                                        reads=("da", "ca")))
-        assert verify_graph(graph).violations == [
-            "chunk ('da', 'ca') leaves (a,d), which is not a declared state"]
         with pytest.raises(GraphFormatError,
-                           match=r"edge source \(a,d\) is not a declared "
-                                 r"input state"):
-            parse_graph(serialize_graph(graph))
+                           match=r"^edge source \(a,d\) is not a declared "
+                                 r"input state$"):
+            graph.add_transition(Transition(("a", "d"), ("ada", "ba"),
+                                            reads=("da", "ca")))
+        assert serialize_graph(graph) == fixture_text
 
-    # each corruption of the parsed fixture, made in code, trips one check;
-    # (adad,adad) is the output state behind (da,da)'s (da,da) edge
-    @pytest.mark.parametrize("corrupt, message", [
-        (lambda g: replaced(g, ("adad", "adad"), output="acacac"),
+    # each corruption of the parsed fixture, made in code, is refused by
+    # add_transition or trips one check of verify_graph; (adad,adad) is
+    # the output state behind (da,da)'s (da,da) edge
+    @pytest.mark.parametrize("corrupt, refused, message", [
+        (lambda g: replaced(g, ("adad", "adad"), output="acacac"), False,
          "output 'acacac' at (adad,adad) has odd a-parity"),
-        (lambda g: replaced(g, ("adad", "adad"), output="acacacacdd"),
+        (lambda g: replaced(g, ("adad", "adad"), output="acacacacdd"), False,
          "output 'acacacacdd' at (adad,adad) is not weight-minimal"),
         (lambda g: g.add_transition(
-            Transition(START, START, reads=("", "d"), output="d")),
+            Transition(START, START, reads=("", "d"), output="d")), False,
          "special at (-,-) consumes 'd' outside the closure of b"),
         (lambda g: g.add_transition(
             Transition(("a", ""), ("a", ""), reads=("", "b"), output="d")),
-         "special attached at (a,-), not at the empty buffer (-,-)"),
+         True, "special source (a,-) is not the empty buffer (-,-)"),
         (lambda g: g.add_transition(
             Transition(("da", "da"), ("da", "da"), reads=("", "b"),
                        output="d")),
-         "special attached at (da,da), not at the empty buffer (-,-)"),
-        (lambda g: g.transitions.pop((("da", "da"), ("da", "da"))),
+         True, "special source (da,da) is not the empty buffer (-,-)"),
+        (lambda g: g.transitions.pop((("da", "da"), ("da", "da"))), False,
          "input state (da,da) has 8 chunk successors, expected 9"),
         (lambda g: g.add_transition(
             Transition(("dad", "da"), ("dad", "da"), reads=("", "b"),
                        output="d")),
-         "output state (dad,da) has 1 chunk or pad transitions, expected 0"),
-        (lambda g: replaced(g, START, ("", "b"), output="ab"),
+         True, "special source (dad,da) is not a declared input state"),
+        (lambda g: replaced(g, START, ("", "b"), output="ab"), False,
          "output 'ab' at (-,-) has odd a-parity"),
-        (lambda g: replaced(g, START, ("", "b"), output=None),
-         "special at (-,-) reads 'b' and writes no label"),
+        (lambda g: g.add_transition(dataclasses.replace(
+            g.transitions.pop((START, ("", "b"))), output=None)),
+         True, "transition at (-,-) reads pad 'b' and writes no label"),
     ], ids=["odd-parity", "not-minimal", "pad-outside-b",
             "special-off-section-pair", "special-off-start", "eight-chunks",
             "pad-at-output", "special-odd-parity", "special-no-label"])
-    def test_violation_texts(self, fixture_text, corrupt, message):
+    def test_violation_texts(self, fixture_text, corrupt, refused, message):
         graph = parse_graph(fixture_text)
-        corrupt(graph)
-        assert message in verify_graph(graph).violations
+        if refused:
+            with pytest.raises(GraphFormatError) as info:
+                corrupt(graph)
+            assert str(info.value) == message
+        else:
+            corrupt(graph)
+            assert message in verify_graph(graph).violations
 
 
 class TestCycleRatio:

@@ -10,10 +10,13 @@ side's own ``perfbench/reference.json``.  The pairs alternate their order
 (ABBA: parent first, then change first, ...), so a drift in the machine's
 speed falls on both sides alike.
 
-For wall_s, cpu_s and peak_rss_mb it prints each side's median and
-quartiles and the number of pairs in which the change reads lower.  It
-notes a fingerprint (counts, etas, digests) that differs between the
-sides, and exits 1 if any repetition fails a check or exits non-zero.
+Each side of a pair also makes one ``jobs.py --setup-only`` run, timed
+as ``perfbench/run.py`` times ``setup_s``: from just before the process
+starts to the end of its set-up.  For setup_s, wall_s, cpu_s and
+peak_rss_mb it prints each side's median and quartiles and the number of
+pairs in which the change reads lower.  It notes a fingerprint (counts,
+etas, digests) that differs between the sides, and exits 1 if any
+repetition fails a check or exits non-zero.
 """
 
 from __future__ import annotations
@@ -25,9 +28,10 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
-METRICS = ("wall_s", "cpu_s", "peak_rss_mb")
+METRICS = ("setup_s", "wall_s", "cpu_s", "peak_rss_mb")
 TIMEOUT_S = 600
 
 
@@ -41,17 +45,33 @@ def make_input(parent: Path, workload: str) -> dict:
     return run.make_input(workload, run.DEFAULT_SEED, "full")
 
 
-def repetition(root: Path, input_path: Path) -> dict:
-    """One jobs.py repetition in ROOT, as its JSON report."""
+def run_jobs(root: Path, input_path: Path, *flags: str) -> dict:
+    """One jobs.py process in ROOT, as its JSON report, with ``started``,
+    the monotonic clock just before the process starts."""
     cmd = [sys.executable, str(root / "perfbench" / "jobs.py"),
            "--input", str(input_path),
-           "--reference", str(root / "perfbench" / "reference.json")]
+           "--reference", str(root / "perfbench" / "reference.json"), *flags]
+    started = time.monotonic()
     proc = subprocess.run(cmd, capture_output=True, text=True, cwd=root,
                           timeout=TIMEOUT_S)
     if proc.returncode != 0:
         return {"failures": [f"{root}: exited with {proc.returncode}: "
                              f"{proc.stderr[-500:]}"]}
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    report["started"] = started
+    return report
+
+
+def repetition(root: Path, input_path: Path) -> dict:
+    """One jobs.py repetition in ROOT, then one set-up-only run whose
+    set-up time is the report's setup_s."""
+    report = run_jobs(root, input_path)
+    setup = run_jobs(root, input_path, "--setup-only")
+    if "failures" in setup:
+        report["failures"] = report["failures"] + setup["failures"]
+    else:
+        report["setup_s"] = setup["ready"] - setup["started"]
+    return report
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
